@@ -1,9 +1,9 @@
-// Micro-benchmarks of the batch-to-batch incremental assignment path: the
+// Micro-benchmarks of the batch-to-batch incremental candidate path: the
 // delta-updated index + row cache (IncrementalCandidateEngine) against the
-// cold per-batch CandidateIndex rebuild, and the warm-started KM solve
-// against the cold solve. RegisterMicroMetrics records the deterministic
-// work counts (evaluations, cache hits, index delta ops, warm rounds) that
-// tools/bench_compare gates on.
+// cold per-batch CandidateIndex rebuild, plus the full KmAssign of one
+// batch. RegisterMicroMetrics records the deterministic work counts
+// (evaluations, cache hits, index delta ops) that tools/bench_compare
+// gates on.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -18,7 +18,6 @@
 
 namespace {
 
-using tamp::assign::AssignReuse;
 using tamp::assign::CandidateGenStats;
 using tamp::assign::CandidateIndex;
 using tamp::assign::GenerateCandidates;
@@ -138,7 +137,7 @@ void BM_IncrementalReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalReplay);
 
-void BM_KmAssignColdRepeat(benchmark::State& state) {
+void BM_KmAssignRepeat(benchmark::State& state) {
   const Batch& batch = PortoSequence().front();
   for (auto _ : state) {
     benchmark::DoNotOptimize(tamp::assign::KmAssign(batch.tasks, batch.workers,
@@ -146,29 +145,7 @@ void BM_KmAssignColdRepeat(benchmark::State& state) {
                                  .pairs.size());
   }
 }
-BENCHMARK(BM_KmAssignColdRepeat);
-
-void BM_KmAssignWarmRepeat(benchmark::State& state) {
-  // Repeated solves of one instant through a persistent holder — the
-  // replay regime (methods sharing a pipeline revisit the same batch):
-  // after the first iteration the candidate rows all hit the cache and
-  // the KM solve resumes from its final checkpoint.
-  const Batch& batch = PortoSequence().front();
-  static AssignReuse* reuse = [] {
-    auto* r = new AssignReuse();
-    const Batch& b = PortoSequence().front();
-    (void)tamp::assign::KmAssign(b.tasks, b.workers, b.now, kMatchRadiusKm,
-                                 1e-3, true, r);
-    return r;
-  }();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tamp::assign::KmAssign(batch.tasks, batch.workers, batch.now,
-                               kMatchRadiusKm, 1e-3, true, reuse)
-            .pairs.size());
-  }
-}
-BENCHMARK(BM_KmAssignWarmRepeat);
+BENCHMARK(BM_KmAssignRepeat);
 
 }  // namespace
 
@@ -189,7 +166,6 @@ void RegisterMicroMetrics(JsonReport& report) {
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter& delta_counter = registry.GetCounter("assign.index_delta_ops");
-  obs::Counter& warm_counter = registry.GetCounter("assign.km_warm_rounds");
 
   IncrementalCandidateEngine engine;
   CandidateGenStats first, replay;
@@ -206,19 +182,6 @@ void RegisterMicroMetrics(JsonReport& report) {
   const int64_t replay_delta_ops =
       delta_counter.value() - delta_before - first_delta_ops;
 
-  // Warm-started KM: every batch solved twice through one holder. The
-  // repeat's cost matrix is bitwise identical, so the solve resumes from
-  // the final checkpoint — warm rounds count the skipped KM rows.
-  AssignReuse reuse;
-  const int64_t warm_before = warm_counter.value();
-  for (const Batch& batch : batches) {
-    for (int pass = 0; pass < 2; ++pass) {
-      (void)assign::KmAssign(batch.tasks, batch.workers, batch.now,
-                             kMatchRadiusKm, 1e-3, true, &reuse);
-    }
-  }
-  const int64_t warm_rounds = warm_counter.value() - warm_before;
-
   report.AddMetric("incremental.batches", static_cast<double>(batches.size()));
   report.AddMetric("incremental.tasks", static_cast<double>(tasks));
   report.AddMetric("incremental.dense_pairs",
@@ -234,7 +197,10 @@ void RegisterMicroMetrics(JsonReport& report) {
   report.AddMetric("incremental.first_pass_delta_ops",
                    static_cast<double>(first_delta_ops));
   // Replay: identical instants, identical geometry — every prior
-  // evaluation must come back as a cache hit, with zero index mutations.
+  // evaluation must come back as a cache hit. The index still mutates: it
+  // tracks the current fleet, not each batch instant, so replaying the
+  // churn schedule re-applies the same worker deltas (replay_delta_ops
+  // equals first_pass_delta_ops).
   report.AddMetric("incremental.replay_evals",
                    static_cast<double>(replay.evaluated));
   report.AddMetric("incremental.replay_cache_hits",
@@ -244,8 +210,6 @@ void RegisterMicroMetrics(JsonReport& report) {
   report.AddMetric("incremental.eval_reduction_x",
                    static_cast<double>(cold.evaluated) /
                        static_cast<double>(first.evaluated));
-  report.AddMetric("incremental.km_warm_rounds",
-                   static_cast<double>(warm_rounds));
 }
 
 }  // namespace tamp::bench

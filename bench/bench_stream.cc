@@ -43,14 +43,7 @@ StreamResult RunSpec(const data::WorkloadSpec& spec,
   nn::EncoderDecoder model(model_config);  // LB never consults it.
   core::BatchAssignStep step(workload, model, options.sim, nullptr);
   core::EventSimulator sim(workload, options.sim, step);
-  const double start = workload.task_stream.front().release_time_min;
-  double end = 0.0;
-  for (const assign::SpatialTask& task : workload.task_stream) {
-    end = std::max(end, task.deadline_min);
-  }
-  for (double now = start; now <= end; now += options.sim.batch_window_min) {
-    sim.ScheduleAssignTrigger(now);
-  }
+  sim.ScheduleBatchTriggers();
   std::vector<core::WorkerPredictor> predictors(workload.workers.size());
 
   StreamResult result;

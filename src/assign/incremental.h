@@ -5,17 +5,16 @@
 #include <vector>
 
 #include "assign/candidates.h"
-#include "assign/sharding.h"
 #include "assign/types.h"
 #include "geo/spatial_index.h"
-#include "matching/hungarian.h"
 
 namespace tamp::assign {
 
-/// Batch-to-batch incremental candidate generation (ROADMAP item 4): the
-/// warm counterpart of CandidateIndex + GenerateCandidates, producing a
-/// bit-identical candidate table while paying only for what changed since
-/// the state it already holds. Two persistent structures:
+/// Batch-to-batch incremental candidate generation
+/// (--candidates=incremental, DESIGN.md §4h): the warm counterpart of
+/// CandidateIndex + GenerateCandidates, producing a bit-identical candidate
+/// table while paying only for what changed since the state it already
+/// holds. Two persistent structures:
 ///
 /// 1. A delta-updated geo::SpatialLabelIndex over the platform-visible
 ///    points of the *current* worker set, labelled by stable worker id.
@@ -48,11 +47,14 @@ namespace tamp::assign {
 /// every assignment method sharing a pipeline, and each method after the
 /// first reuses the first one's rows.
 ///
-/// Not thread-safe across concurrent BuildTable calls; one engine per
-/// simulator/pipeline. Within a call, tasks fan out over the deterministic
-/// parallel runtime with slot-indexed writes (cache reads only; new rows
-/// are buffered per task slot and merged serially), so tables, cache
-/// state, and all counters are bit-identical at any thread count.
+/// Owned per TampPipeline (surviving across RunOnline calls) and passed to
+/// KmAssign / PpiAssign / GgpsoAssign by pointer; a null engine means the
+/// per-batch CandidateIndex. Not thread-safe across concurrent BuildTable
+/// calls; one engine per simulator/pipeline. Within a call, tasks fan out
+/// over the deterministic parallel runtime with slot-indexed writes (cache
+/// reads only; new rows are buffered per task slot and merged serially),
+/// so tables, cache state, and all counters are bit-identical at any
+/// thread count.
 class IncrementalCandidateEngine {
  public:
   /// Builds the batch candidate table; the result is bit-identical to
@@ -116,27 +118,6 @@ class IncrementalCandidateEngine {
   uint64_t next_epoch_ = 1;
   uint64_t tick_ = 0;
   std::unordered_map<uint64_t, Snapshot> snapshots_;
-};
-
-/// Everything an assigner chain reuses across simulator batches when
-/// SimulatorConfig::candidate_mode is kIncremental: the shared candidate
-/// engine
-/// plus per-solve-site KM warm-start holders. Owned by the pipeline (one
-/// per TampPipeline, surviving across RunOnline calls) and threaded to the
-/// assigners by pointer; a null AssignReuse* everywhere means the cold
-/// per-batch paths.
-struct AssignReuse {
-  IncrementalCandidateEngine candidates;
-  /// KmAssign's single per-batch matching.
-  matching::KmWarmState km;
-  /// PPI's per-batch matchings by solve ordinal (stage 1, each stage-2
-  /// flush, stage 3). Grown on demand, capped so a pathological flush
-  /// count cannot accumulate unbounded checkpoint state.
-  std::vector<matching::KmWarmState> ppi;
-  /// Per-shard warm holders keyed by shard signature, consumed instead of
-  /// `km`/`ppi` when sharded solving is on (ShardMode::kComponents), so
-  /// warm resume survives resharding across batches.
-  ShardWarmPool shard_pool;
 };
 
 }  // namespace tamp::assign

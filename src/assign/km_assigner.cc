@@ -17,7 +17,8 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
                         const std::vector<CandidateWorker>& workers,
                         double now_min, double match_radius_km,
                         double weight_floor_km, bool use_spatial_index,
-                        AssignReuse* reuse, bool shard_components) {
+                        IncrementalCandidateEngine* engine,
+                        bool shard_components) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& solves_counter = registry.GetCounter("km.solves");
   static obs::Counter& edges_counter = registry.GetCounter("km.edges");
@@ -30,12 +31,11 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
   if (tasks.empty() || workers.empty()) return plan;
 
   std::vector<std::vector<TaskCandidate>> table;
-  if (reuse != nullptr) {
+  if (engine != nullptr) {
     // Incremental path: the engine's delta-updated index + row cache stand
     // in for the per-batch CandidateIndex; tables are bit-identical.
     obs::TraceSpan build_span("km.index_build");
-    table = reuse->candidates.BuildTable(tasks, workers, match_radius_km,
-                                         now_min);
+    table = engine->BuildTable(tasks, workers, match_radius_km, now_min);
   } else {
     std::optional<CandidateIndex> index;
     if (use_spatial_index) {
@@ -60,22 +60,17 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
   edges_counter.Increment(static_cast<int64_t>(edges.size()));
   Stopwatch solve_watch;
   obs::TraceSpan solve_span("km.solve");
-  matching::MatchResult result;
-  if (shard_components) {
-    // Geo-sharded solve (DESIGN.md §4k): connected components of the
-    // candidate table share no feasible edge, so per-shard KM merged in
-    // task order is bit-identical to the global solve. Warm state lives in
-    // the signature-keyed shard pool (the global `km` holder's prefix
-    // would never match the shard-local matrices).
-    const ShardPlan shard_plan = BuildShardPlan(table, tasks, workers);
-    result = ShardedMaxWeightMatching(
-        static_cast<int>(tasks.size()), static_cast<int>(workers.size()),
-        edges, shard_plan, reuse != nullptr ? &reuse->shard_pool : nullptr);
-  } else {
-    result = matching::MaxWeightMatching(
-        static_cast<int>(tasks.size()), static_cast<int>(workers.size()),
-        edges, nullptr, reuse != nullptr ? &reuse->km : nullptr);
-  }
+  // Connected components of the candidate table share no feasible edge,
+  // so per-shard KM merged in task order is bit-identical to the global
+  // solve (DESIGN.md §4k).
+  const matching::MatchResult result =
+      shard_components
+          ? ShardedMaxWeightMatching(static_cast<int>(tasks.size()),
+                                     static_cast<int>(workers.size()), edges,
+                                     BuildShardPlan(table, tasks, workers))
+          : matching::MaxWeightMatching(static_cast<int>(tasks.size()),
+                                        static_cast<int>(workers.size()),
+                                        edges);
   solve_hist.Record(solve_watch.ElapsedSeconds());
   for (auto [t, w] : result.pairs) {
     // Recover dis^min of the matched pair from its table row (rows hold

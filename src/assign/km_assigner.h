@@ -4,31 +4,27 @@
 
 namespace tamp::assign {
 
-struct AssignReuse;
+class IncrementalCandidateEngine;
 
 /// The KM baseline (Section IV-A): builds the bipartite graph exactly as
 /// PPI's third stage does — a pair is feasible when the closest predicted
 /// point satisfies dis^min <= min(d/2, d_t) — and solves one maximum-weight
 /// matching with 1/dis^min weights. Ignores matching rates entirely.
 ///
-/// `use_spatial_index` selects the pruned candidate generation (default)
-/// or the dense T x W sweep; both yield bit-identical plans (see
-/// CandidateIndex). A non-null `reuse` switches to the incremental engine
-/// (delta-updated index + row cache) and warm-starts the KM solve from the
-/// previous batch through this holder — still bit-identical (see
-/// IncrementalCandidateEngine / KmWarmState).
-///
-/// `shard_components` (--sharding=components) decomposes the candidate
-/// graph into connected components and solves per-shard KM concurrently
-/// (DESIGN.md §4k); plans stay bit-identical to the global solve. With
-/// `reuse` the sharded solves warm-start from reuse->shard_pool (keyed by
-/// shard signature) instead of the global reuse->km holder.
+/// The production path (the defaults) prunes candidates through the
+/// per-batch spatial index (CandidateIndex), or through `engine` when one
+/// is given (--candidates=incremental), and solves per connected component
+/// of the candidate graph (BuildShardPlan + ShardedMaxWeightMatching,
+/// DESIGN.md §4k). `use_spatial_index = false` (the dense T x W sweep) and
+/// `shard_components = false` (one global MaxWeightMatching) are the test
+/// oracles of those two layers; every combination yields a bit-identical
+/// plan.
 AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
                         const std::vector<CandidateWorker>& workers,
                         double now_min, double match_radius_km,
                         double weight_floor_km = 1e-3,
                         bool use_spatial_index = true,
-                        AssignReuse* reuse = nullptr,
-                        bool shard_components = false);
+                        IncrementalCandidateEngine* engine = nullptr,
+                        bool shard_components = true);
 
 }  // namespace tamp::assign

@@ -4,7 +4,7 @@
 
 namespace tamp::assign {
 
-struct AssignReuse;
+class IncrementalCandidateEngine;
 
 /// Parameters of the Prediction-Performance-Involved assignment algorithm.
 struct PpiConfig {
@@ -16,17 +16,6 @@ struct PpiConfig {
   /// Numerical floor added to distances before taking reciprocals as edge
   /// weights (1/minB), so zero-distance candidates stay finite.
   double weight_floor_km = 1e-3;
-  /// When true (default), candidate generation prunes (task, worker) pairs
-  /// through a per-batch spatial index over the workers' platform-visible
-  /// points (CandidateIndex) instead of evaluating every dense T x W pair.
-  /// The prune is a conservative Theorem-2 superset, so plans are
-  /// bit-identical either way; the flag exists so tests can assert that.
-  bool use_spatial_index = true;
-  /// Geo-sharded per-stage solves (--sharding=components, DESIGN.md §4k):
-  /// every stage's KM runs per connected component of the batch candidate
-  /// table, concurrently. Stage edges never cross components (they are
-  /// table rows), so plans are bit-identical to the global solves.
-  bool shard_components = false;
 };
 
 /// Prediction Performance-Involved Task Assignment (Algorithm 4).
@@ -38,12 +27,14 @@ struct PpiConfig {
 /// per-stage KM calls use 1/minB (or 1/dis^min) as edge weights so shorter
 /// expected detours win.
 ///
-/// A non-null `reuse` swaps candidate generation for the incremental
-/// engine and warm-starts each per-stage KM solve (by solve ordinal) from
-/// the previous batch; plans stay bit-identical to the cold paths.
+/// Candidates come from the per-batch spatial index (CandidateIndex), or
+/// from `engine` when one is given (--candidates=incremental); every
+/// stage's KM runs per connected component of the batch candidate table
+/// (ShardedMaxWeightMatching, DESIGN.md §4k). Stage edges are table rows,
+/// so they never cross components.
 AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
                          const std::vector<CandidateWorker>& workers,
                          double now_min, const PpiConfig& config,
-                         AssignReuse* reuse = nullptr);
+                         IncrementalCandidateEngine* engine = nullptr);
 
 }  // namespace tamp::assign

@@ -11,18 +11,6 @@
 namespace tamp::assign {
 namespace {
 
-/// Packed (left, right) pair key; batch indices are well under 2^31.
-int64_t PairKey(int left, int right) {
-  return (static_cast<int64_t>(left) << 32) |
-         static_cast<int64_t>(static_cast<uint32_t>(right));
-}
-
-uint64_t Fnv1aMix(uint64_t h, uint64_t x) {
-  // One 64-bit FNV-1a step per ingested word.
-  constexpr uint64_t kPrime = 1099511628211ull;
-  return (h ^ x) * kPrime;
-}
-
 /// Union-find over task/worker nodes with path halving + union by size.
 /// All traversal is by ascending index — never hash order — so the
 /// resulting components and their numbering are deterministic.
@@ -115,32 +103,6 @@ ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
   for (Shard& shard : plan.shards) {
     shard.cost = shard.rows * static_cast<int64_t>(shard.tasks.size() +
                                                    shard.workers.size());
-    // Signature over stable ids (batch indices shift as the pool churns),
-    // hashed in sorted-id order so it is a pure function of the membership
-    // *set* — the same tasks/workers permuted to different batch positions
-    // find their warm holder again. The 0/1 tags keep {task ids} and
-    // {worker ids} from colliding.
-    std::vector<int64_t> task_ids, worker_ids;
-    task_ids.reserve(shard.tasks.size());
-    for (int t : shard.tasks) {
-      task_ids.push_back(tasks[static_cast<size_t>(t)].id);
-    }
-    worker_ids.reserve(shard.workers.size());
-    for (int w : shard.workers) {
-      worker_ids.push_back(workers[static_cast<size_t>(w)].id);
-    }
-    std::sort(task_ids.begin(), task_ids.end());
-    std::sort(worker_ids.begin(), worker_ids.end());
-    uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis.
-    for (int64_t id : task_ids) {
-      h = Fnv1aMix(h, 0);
-      h = Fnv1aMix(h, static_cast<uint64_t>(id));
-    }
-    for (int64_t id : worker_ids) {
-      h = Fnv1aMix(h, 1);
-      h = Fnv1aMix(h, static_cast<uint64_t>(id));
-    }
-    shard.signature = h;
     plan.max_rows = std::max(plan.max_rows, shard.rows);
   }
 
@@ -173,44 +135,19 @@ ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
   return plan;
 }
 
-void ShardWarmPool::BeginBatch(size_t incoming) {
-  if (holders_.size() + incoming > kMaxHolders) holders_.clear();
-}
-
-matching::KmWarmState* ShardWarmPool::Acquire(uint64_t signature) {
-  return &holders_[signature];
-}
-
 matching::MatchResult ShardedMaxWeightMatching(
     int num_left, int num_right, const std::vector<matching::Edge>& edges,
-    const ShardPlan& plan, ShardWarmPool* warm_pool, uint64_t warm_salt) {
+    const ShardPlan& plan) {
   TAMP_CHECK(num_left >= 0 && num_right >= 0);
   TAMP_CHECK(plan.shard_of_task.size() == static_cast<size_t>(num_left));
   TAMP_CHECK(plan.shard_of_worker.size() == static_cast<size_t>(num_right));
   matching::MatchResult result;
   if (edges.empty() || plan.shards.empty()) return result;
 
-  const size_t num_shards = plan.shards.size();
-  // Shard-local index of each global task/worker (each belongs to <= 1
-  // shard; member lists are ascending, so local order mirrors global).
-  std::vector<int> local_of_task(static_cast<size_t>(num_left), -1);
-  std::vector<int> local_of_worker(static_cast<size_t>(num_right), -1);
-  for (const Shard& shard : plan.shards) {
-    for (size_t i = 0; i < shard.tasks.size(); ++i) {
-      local_of_task[static_cast<size_t>(shard.tasks[i])] =
-          static_cast<int>(i);
-    }
-    for (size_t i = 0; i < shard.workers.size(); ++i) {
-      local_of_worker[static_cast<size_t>(shard.workers[i])] =
-          static_cast<int>(i);
-    }
-  }
-
-  // Partition edges by shard (relative order preserved) and remember each
-  // pair's effective (duplicate-max) weight for the merged total below.
-  std::vector<std::vector<matching::Edge>> shard_edges(num_shards);
-  std::unordered_map<int64_t, double> weight_of_pair;  // Lookup-only.
-  weight_of_pair.reserve(edges.size());
+  // Which shards this call touches. PPI's stage-2 flushes carry a handful
+  // of edges against a plan built for the whole table, so only shards
+  // with a positive edge are solved; they keep the plan's LPT order.
+  std::vector<int> edges_of_shard(plan.shards.size(), 0);
   for (const matching::Edge& e : edges) {
     TAMP_CHECK(e.left >= 0 && e.left < num_left);
     TAMP_CHECK(e.right >= 0 && e.right < num_right);
@@ -221,64 +158,84 @@ matching::MatchResult ShardedMaxWeightMatching(
     TAMP_CHECK_MSG(s >= 0 &&
                        s == plan.shard_of_worker[static_cast<size_t>(e.right)],
                    "edge crosses shard boundaries: plan/edges mismatch");
-    shard_edges[static_cast<size_t>(s)].push_back(
-        {local_of_task[static_cast<size_t>(e.left)],
-         local_of_worker[static_cast<size_t>(e.right)], e.weight});
-    double& cell = weight_of_pair[PairKey(e.left, e.right)];
-    cell = std::max(cell, e.weight);
+    ++edges_of_shard[static_cast<size_t>(s)];
   }
+  std::vector<int> slot_of_shard(plan.shards.size(), -1);
+  std::vector<int> active;  // Shard ids, ascending = LPT order.
+  for (size_t s = 0; s < plan.shards.size(); ++s) {
+    if (edges_of_shard[s] == 0) continue;
+    slot_of_shard[s] = static_cast<int>(active.size());
+    active.push_back(static_cast<int>(s));
+  }
+  if (active.empty()) return result;
 
-  // Acquire warm holders serially before the fan-out (the pool is not
-  // thread-safe). A signature collision inside one batch would hand two
-  // concurrent solves the same holder — degrade the later shard to cold
-  // instead of racing.
-  std::vector<matching::KmWarmState*> warm_of(num_shards, nullptr);
-  if (warm_pool != nullptr) {
-    warm_pool->BeginBatch(num_shards);
-    std::vector<matching::KmWarmState*> seen;
-    seen.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (shard_edges[s].empty()) continue;
-      const uint64_t key =
-          Fnv1aMix(plan.shards[s].signature, warm_salt + 1);
-      matching::KmWarmState* holder = warm_pool->Acquire(key);
-      if (std::find(seen.begin(), seen.end(), holder) != seen.end()) continue;
-      seen.push_back(holder);
-      warm_of[s] = holder;
+  // Shard-local index of each member of an active shard (member lists are
+  // ascending, so local order mirrors global order).
+  std::vector<int> local_of_task(static_cast<size_t>(num_left));
+  std::vector<int> local_of_worker(static_cast<size_t>(num_right));
+  for (int s : active) {
+    const Shard& shard = plan.shards[static_cast<size_t>(s)];
+    for (size_t i = 0; i < shard.tasks.size(); ++i) {
+      local_of_task[static_cast<size_t>(shard.tasks[i])] = static_cast<int>(i);
+    }
+    for (size_t i = 0; i < shard.workers.size(); ++i) {
+      local_of_worker[static_cast<size_t>(shard.workers[i])] =
+          static_cast<int>(i);
     }
   }
 
-  // Solve shards concurrently. LPT: the plan orders shards cost-
-  // descending and the pool claims indices dynamically, so the largest
-  // solves start first. Writes are slot-indexed (sub[s]); the per-thread
-  // scratch is the standard thread_local idiom of the parallel runtime.
-  obs::TraceSpan solve_span("assign.shard_solve");
-  std::vector<matching::MatchResult> sub(num_shards);
-  ParallelFor(num_shards, [&](size_t s) {
-    if (shard_edges[s].empty()) return;
-    thread_local matching::MatchingScratch scratch;
-    sub[s] = matching::MaxWeightMatching(
-        static_cast<int>(plan.shards[s].tasks.size()),
-        static_cast<int>(plan.shards[s].workers.size()), shard_edges[s],
-        &scratch, warm_of[s]);
-  });
+  // Partition the positive edges by shard, in input order, renumbered to
+  // shard-local indices.
+  std::vector<std::vector<matching::Edge>> shard_edges(active.size());
+  for (size_t a = 0; a < active.size(); ++a) {
+    shard_edges[a].reserve(static_cast<size_t>(
+        edges_of_shard[static_cast<size_t>(active[a])]));
+  }
+  for (const matching::Edge& e : edges) {
+    if (e.weight <= 0.0) continue;
+    const int s = plan.shard_of_task[static_cast<size_t>(e.left)];
+    shard_edges[static_cast<size_t>(slot_of_shard[static_cast<size_t>(s)])]
+        .push_back({local_of_task[static_cast<size_t>(e.left)],
+                    local_of_worker[static_cast<size_t>(e.right)], e.weight});
+  }
+
+  // Solve each active shard. Writes are slot-indexed (sub[a]), so the
+  // result does not depend on the schedule; LPT order plus the pool's
+  // dynamic index claiming starts the largest solves first.
+  std::vector<matching::MatchResult> sub(active.size());
+  {
+    obs::TraceSpan solve_span("assign.shard_solve");
+    ParallelFor(active.size(), [&](size_t a) {
+      const Shard& shard = plan.shards[static_cast<size_t>(active[a])];
+      thread_local matching::MatchingScratch scratch;
+      sub[a] = matching::MaxWeightMatching(
+          static_cast<int>(shard.tasks.size()),
+          static_cast<int>(shard.workers.size()), shard_edges[a], &scratch);
+    });
+  }
 
   // Merge in global left-ascending order — the global solve's emission
-  // order — and recompute total_weight by summing the pair weights in that
+  // order — and sum each matched pair's (duplicate-max) weight in that
   // order, so both the pair list and the total are bitwise-equal to the
   // unsharded MaxWeightMatching.
-  for (size_t s = 0; s < num_shards; ++s) {
-    for (auto [l, r] : sub[s].pairs) {
-      result.pairs.emplace_back(
-          plan.shards[s].tasks[static_cast<size_t>(l)],
-          plan.shards[s].workers[static_cast<size_t>(r)]);
+  for (size_t a = 0; a < active.size(); ++a) {
+    const Shard& shard = plan.shards[static_cast<size_t>(active[a])];
+    for (auto [l, r] : sub[a].pairs) {
+      result.pairs.emplace_back(shard.tasks[static_cast<size_t>(l)],
+                                shard.workers[static_cast<size_t>(r)]);
     }
   }
   std::sort(result.pairs.begin(), result.pairs.end());
+  std::vector<int> right_of_left(static_cast<size_t>(num_left), -1);
+  std::vector<double> weight_of_left(static_cast<size_t>(num_left), 0.0);
+  for (auto [l, r] : result.pairs) right_of_left[static_cast<size_t>(l)] = r;
+  for (const matching::Edge& e : edges) {
+    if (right_of_left[static_cast<size_t>(e.left)] != e.right) continue;
+    double& weight = weight_of_left[static_cast<size_t>(e.left)];
+    weight = std::max(weight, e.weight);
+  }
   for (auto [l, r] : result.pairs) {
-    const auto it = weight_of_pair.find(PairKey(l, r));
-    TAMP_CHECK(it != weight_of_pair.end());
-    result.total_weight += it->second;
+    result.total_weight += weight_of_left[static_cast<size_t>(l)];
   }
   return result;
 }

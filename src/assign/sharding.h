@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "assign/candidates.h"
@@ -11,7 +10,7 @@
 
 namespace tamp::assign {
 
-/// Geo-sharded assignment (DESIGN.md §4k, ROADMAP item 2): the per-batch
+/// Geo-sharded assignment (DESIGN.md §4k): the per-batch
 /// candidate table decomposes into connected components of the bipartite
 /// (task, worker) graph, and components share no feasible edge — so a
 /// maximum-weight matching computed per component and concatenated is a
@@ -30,13 +29,6 @@ struct Shard {
   /// LPT cost model: rows x (tasks + workers), a proxy for the KM cycle
   /// count (each augmenting row scans every column of the padded matrix).
   int64_t cost = 0;
-  /// FNV-1a over the member *ids* (stable across batches, unlike batch
-  /// indices). Keys the shard's KmWarmState in a ShardWarmPool, so warm
-  /// resume survives resharding: any membership change — a worker
-  /// migrating in or out, two shards merging — lands on a different
-  /// signature and therefore a fresh (or that membership's own) holder
-  /// instead of silently warm-starting against a different column order.
-  uint64_t signature = 0;
 };
 
 /// The full decomposition of one batch's candidate table.
@@ -53,58 +45,33 @@ struct ShardPlan {
 
 /// Builds the connected components of `table` via union-find over its
 /// rows. `tasks`/`workers` are the batch vectors the table was built from
-/// (`table.size() == tasks.size()`); only their stable `.id` fields are
-/// read, for shard signatures. Every traversal is index-ordered (tasks
-/// ascending, each task's rows in table order), so the plan — shard
-/// membership, ordering, and signatures — is a pure function of the table.
-/// Serial; records assign.shard_count / assign.shard_max_rows.
+/// (`table.size() == tasks.size()`); only their sizes are read. Every
+/// traversal is index-ordered (tasks ascending, each task's rows in table
+/// order), so the plan — shard membership and ordering — is a pure
+/// function of the table. Serial; records assign.shard_count /
+/// assign.shard_max_rows.
 ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
                          const std::vector<SpatialTask>& tasks,
                          const std::vector<CandidateWorker>& workers);
 
-/// Per-shard KmWarmState holders keyed by shard signature, so incremental
-/// reuse survives resharding (the holder a membership used last batch is
-/// found again iff the membership is unchanged). Lookup-only: the map is
-/// never iterated, so hash order cannot leak into results. Not
-/// thread-safe — acquire every holder before fanning out solves.
-class ShardWarmPool {
- public:
-  /// Evicts everything when the incoming batch would overflow the cap;
-  /// call once per sharded solve, before any Acquire. Deterministic: the
-  /// decision depends only on sizes, never on hash order.
-  void BeginBatch(size_t incoming);
-
-  /// Returns the holder for `signature`, creating it on first use. The
-  /// returned pointer is stable until the next BeginBatch.
-  matching::KmWarmState* Acquire(uint64_t signature);
-
-  size_t size() const { return holders_.size(); }
-
- private:
-  /// Bounds cross-batch holder accumulation (stale signatures of long-gone
-  /// memberships). Oversized shards store no checkpoints anyway
-  /// (KmWarmState::max_dim), so each holder is small.
-  static constexpr size_t kMaxHolders = 4096;
-  std::unordered_map<uint64_t, matching::KmWarmState> holders_;
-};
-
-/// Sharded drop-in for matching::MaxWeightMatching: partitions `edges` by
-/// `plan`, solves each shard concurrently via ParallelFor (each solve on a
-/// thread_local MatchingScratch), and merges the per-shard matchings in
-/// global left-ascending order — the exact emission order of the global
-/// solve — recomputing total_weight in that order so the result is
+/// The assigners' one solve (KM and every PPI stage): partitions `edges`
+/// by `plan`, solves each shard that has a positive edge with
+/// matching::MaxWeightMatching — concurrently via ParallelFor when the
+/// shards carry enough work to pay for the fan-out, each solve on a
+/// thread_local MatchingScratch — and merges the per-shard matchings in
+/// global left-ascending order, the exact emission order of the global
+/// solve. total_weight is recomputed in that order, so the result is
 /// bitwise-identical to MaxWeightMatching(num_left, num_right, edges)
 /// whenever the optimum is unique (always, on the continuous distance
-/// weights the assigners use; pinned by assign_sharding_test).
+/// weights the assigners use; pinned against the global solve and brute
+/// force by assign_sharding_test). A plan with one shard is the global
+/// solve.
 ///
 /// Every positive-weight edge must connect a task and worker of the same
 /// shard (guaranteed when `plan` was built from the table the edges came
-/// from). `warm_pool` (optional) warm-starts each shard's solve from the
-/// previous batch of the same membership; `warm_salt` separates recurring
-/// solve sites sharing one pool (PPI's per-ordinal solves).
+/// from).
 matching::MatchResult ShardedMaxWeightMatching(
     int num_left, int num_right, const std::vector<matching::Edge>& edges,
-    const ShardPlan& plan, ShardWarmPool* warm_pool = nullptr,
-    uint64_t warm_salt = 0);
+    const ShardPlan& plan);
 
 }  // namespace tamp::assign

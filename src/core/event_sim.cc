@@ -12,9 +12,9 @@ namespace tamp::core {
 namespace {
 
 /// Seed for the per-(worker, task) dropout draw: a pure function of the
-/// pair, so the outcome is independent of event order, thread count, and
-/// engine. The multipliers are the splitmix64 constants; Rng re-mixes the
-/// result anyway, this only has to separate nearby (worker, task) pairs.
+/// pair, so the outcome is independent of event order and thread count.
+/// The multipliers are the splitmix64 constants; Rng re-mixes the result
+/// anyway, this only has to separate nearby (worker, task) pairs.
 uint64_t DropoutDrawSeed(uint64_t model_seed, int worker_id, int task_id) {
   constexpr uint64_t kWorkerMul = 0x9E3779B97F4A7C15ULL;
   constexpr uint64_t kTaskMul = 0xBF58476D1CE4E5B9ULL;
@@ -39,10 +39,23 @@ void EventSimulator::ScheduleAssignTrigger(double time_min) {
   ++next_trigger_id_;
 }
 
+void EventSimulator::ScheduleBatchTriggers() {
+  if (workload_.task_stream.empty()) return;
+  const double start = workload_.task_stream.front().release_time_min;
+  double end = 0.0;
+  for (const assign::SpatialTask& task : workload_.task_stream) {
+    end = std::max(end, task.deadline_min);
+  }
+  for (double now = start; now <= end; now += config_.batch_window_min) {
+    ScheduleAssignTrigger(now);
+  }
+}
+
 void EventSimulator::SeedWorkloadEvents() {
   // Every task contributes its arrival and its deadline expiry, keyed by
   // stream index (the stream is sorted by release time, so same-instant
-  // arrivals pool in stream order — exactly the batch loop's admit order).
+  // arrivals pool in stream order — the batch reference loop's admit
+  // order).
   for (size_t i = 0; i < workload_.task_stream.size(); ++i) {
     const assign::SpatialTask& task = workload_.task_stream[i];
     queue_.Push({task.release_time_min, EventKind::kTaskArrival,
@@ -105,9 +118,8 @@ void EventSimulator::HandleAssignTrigger(
   // The batch loop's skip conditions: no pending tasks, or nobody online
   // and free. (Busy/online flags were already settled by the same-instant
   // completion/login events, which sort before the trigger.) A skipped
-  // trigger still counts — the batch-replay loop increments the same
-  // counter at its matching `continue` sites, and the cross-engine
-  // accounting test pins the two totals equal.
+  // trigger still counts, so every trigger is either a sim.batches or a
+  // sim.batch_skips increment (pinned by core_event_sim_test).
   if (pool_.empty()) {
     skips_counter.Increment();
     return;

@@ -28,12 +28,14 @@ struct EventStats {
   int64_t dropouts = 0;
 };
 
-/// The event-queue simulation core (DESIGN.md §4j). The client schedules
-/// assignment triggers (BatchSimulator enqueues one per batch window);
-/// Run() seeds the workload's own events — task arrivals and deadline
-/// expiries, one login/logout pair per worker availability session
-/// (intersected with the worker's test horizon), and a completion per
-/// accepted assignment — and drains the queue in (time, kind, id) order.
+/// The event-queue simulation core (DESIGN.md §4j) — the online stage's
+/// one engine. The client schedules assignment triggers
+/// (ScheduleBatchTriggers for the paper's 2-minute cadence, or
+/// ScheduleAssignTrigger one at a time); Run() seeds the workload's own
+/// events — task arrivals and deadline expiries, one login/logout pair per
+/// worker availability session (intersected with the worker's test
+/// horizon), and a completion per accepted assignment — and drains the
+/// queue in (time, kind, id) order.
 ///
 /// State transitions per kind:
 ///  - task_arrival       pool.push_back(stream[id]) (also re-queues a
@@ -52,9 +54,10 @@ struct EventStats {
 ///                       per-(worker, task) dropout draw.
 ///
 /// Because the event order is total and every draw is keyed by stable ids,
-/// a run is bit-identical at any thread count, and — on dropout-free
-/// workloads — bit-identical to BatchSimulator's batch-replay loop (the
-/// parity ctest).
+/// a run is bit-identical at any thread count. Its oracle is the
+/// batch-synchronous loop the paper describes, kept as a test-local
+/// reference over the same BatchAssignStep in tests/core_event_sim_test.cc:
+/// on dropout-free workloads the two agree bitwise for every method.
 class EventSimulator {
  public:
   /// `step` holds the shared per-batch machinery (and its warm forecast
@@ -65,6 +68,12 @@ class EventSimulator {
   /// Enqueues one assignment trigger. Call any number of times before
   /// Run(); the trigger's stable id is its call sequence number.
   void ScheduleAssignTrigger(double time_min);
+
+  /// Enqueues the paper's batch cadence: one trigger per
+  /// config.batch_window_min window from the first task release to the
+  /// last task deadline, accumulated as `now += batch_window_min`. No-op
+  /// on an empty task stream.
+  void ScheduleBatchTriggers();
 
   /// Seeds the workload events and drains the queue. Single-shot: one
   /// Run per instance.

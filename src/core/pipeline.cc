@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/obs/trace.h"
+#include "core/event_sim.h"
 
 namespace tamp::core {
 
@@ -43,11 +44,12 @@ SimMetrics TampPipeline::RunOnline(const data::Workload& workload,
   obs::TraceSpan span("pipeline.run_online");
   nn::EncoderDecoder model(config_.trainer.model);
   if (config_.sim.candidate_mode == CandidateMode::kIncremental &&
-      assign_reuse_ == nullptr) {
-    assign_reuse_ = std::make_unique<assign::AssignReuse>();
+      candidate_engine_ == nullptr) {
+    candidate_engine_ = std::make_unique<assign::IncrementalCandidateEngine>();
   }
-  BatchSimulator simulator(workload, model, config_.sim,
-                           assign_reuse_.get());
+  BatchAssignStep step(workload, model, config_.sim, candidate_engine_.get());
+  EventSimulator simulator(workload, config_.sim, step);
+  simulator.ScheduleBatchTriggers();
 
   std::vector<WorkerPredictor> predictors(workload.workers.size());
   const bool needs_models = method == AssignMethod::kKm ||

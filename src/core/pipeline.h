@@ -33,8 +33,8 @@ struct OfflineResult {
 /// The public entry point of the library: the two-stage TAMP platform of
 /// Fig. 1. TrainOffline learns per-worker mobility models (Section III-B/C)
 /// and estimates their matching rates; RunOnline replays the task stream
-/// through the batch simulator with the chosen assignment method
-/// (Section III-D).
+/// through the event-driven simulator, one assignment trigger per batch
+/// window, with the chosen assignment method (Section III-D).
 class TampPipeline {
  public:
   explicit TampPipeline(const PipelineConfig& config);
@@ -46,20 +46,20 @@ class TampPipeline {
   /// meta-learning algorithm, and evaluates RMSE/MAE/MR per worker.
   OfflineResult TrainOffline(const data::Workload& workload);
 
-  /// Online stage: runs the batch simulator with one assignment method
-  /// against models produced by TrainOffline. For UB/LB, `offline` may be
-  /// any result (their decisions ignore the models).
+  /// Online stage: runs the event simulator (EventSimulator +
+  /// ScheduleBatchTriggers) with one assignment method against models
+  /// produced by TrainOffline. For UB/LB, `offline` may be any result
+  /// (their decisions ignore the models).
   SimMetrics RunOnline(const data::Workload& workload,
                        const OfflineResult& offline, AssignMethod method);
 
  private:
   PipelineConfig config_;
-  /// Cross-batch (and cross-run) reuse state consumed by RunOnline when
-  /// sim.candidate_mode is kIncremental; created lazily on the first such
-  /// run and
-  /// kept for the pipeline's lifetime so later runs revisiting the same
-  /// batch instants hit the engine's row cache.
-  std::unique_ptr<assign::AssignReuse> assign_reuse_;
+  /// Cross-batch (and cross-run) candidate engine consumed by RunOnline
+  /// when sim.candidate_mode is kIncremental; created lazily on the first
+  /// such run and kept for the pipeline's lifetime so later runs revisiting
+  /// the same batch instants hit its row cache.
+  std::unique_ptr<assign::IncrementalCandidateEngine> candidate_engine_;
 };
 
 }  // namespace tamp::core

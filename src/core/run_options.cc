@@ -1,8 +1,10 @@
 #include "core/run_options.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <set>
+#include <utility>
 
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
@@ -11,6 +13,12 @@
 namespace tamp::core {
 
 namespace {
+
+Status CheckFinite(double v, const char* field) {
+  if (std::isfinite(v)) return Status::Ok();
+  return Status::InvalidArgument(std::string(field) + " must be finite, got " +
+                                 std::to_string(v));
+}
 
 Status CheckPositive(double v, const char* field) {
   if (v > 0.0) return Status::Ok();
@@ -39,6 +47,23 @@ Status ParseInt(const std::string& value, const std::string& flag,
 Status RunOptions::Validate() const {
   if (threads < 0) {
     return Status::InvalidArgument("threads must be >= 0 (0 = default)");
+  }
+  // Every floating-point field first: NaN passes every `<` range check
+  // below, and +inf passes the `> 0` ones.
+  const std::pair<double, const char*> kFloatFields[] = {
+      {sim.batch_window_min, "sim.batch_window_min"},
+      {sim.sample_period_min, "sim.sample_period_min"},
+      {sim.match_radius_km, "sim.match_radius_km"},
+      {sim.service_time_min, "sim.service_time_min"},
+      {sim.ppi.match_radius_km, "sim.ppi.match_radius_km"},
+      {sim.ppi.weight_floor_km, "sim.ppi.weight_floor_km"},
+      {sim.ggpso.crossover_rate, "sim.ggpso.crossover_rate"},
+      {sim.ggpso.mutation_rate, "sim.ggpso.mutation_rate"},
+      {sim.ggpso.cost_weight, "sim.ggpso.cost_weight"},
+      {sim.ggpso.match_radius_km, "sim.ggpso.match_radius_km"},
+  };
+  for (const auto& [value, field] : kFloatFields) {
+    TAMP_RETURN_IF_ERROR(CheckFinite(value, field));
   }
   TAMP_RETURN_IF_ERROR(CheckPositive(sim.batch_window_min,
                                      "sim.batch_window_min"));
@@ -88,25 +113,21 @@ std::string RunFlagsHelp() {
       "  --seed=N                 workload seed (0 = dataset default)\n"
       "  --threads=N              parallel runtime threads (0 = default)\n"
       "  --horizon=N              forecast horizon steps per worker\n"
-      "  --candidates=indexed|dense|incremental  candidate generation:\n"
-      "                           spatial-index pruning (default), dense\n"
-      "                           T x W sweep, or batch-to-batch delta\n"
-      "                           index + row cache + warm-started KM\n"
-      "  --forecast=batched|scalar  worker forecasts: the fleet-wide SoA\n"
-      "                           engine (default) or the per-worker\n"
-      "                           scalar rollout (bit-identical reference)\n"
-      "  --engine=event|batch     simulation engine: the event-queue core\n"
-      "                           (default) or the batch-synchronous\n"
-      "                           replay loop (bit-identical reference)\n"
-      "  --sharding=off|components  solve each connected component of the\n"
-      "                           candidate graph as its own parallel KM\n"
-      "                           shard (plans bit-identical to off)\n"
+      "  --candidates=indexed|incremental  candidate generation: a\n"
+      "                           per-batch spatial index (default) or a\n"
+      "                           batch-to-batch delta index + row cache;\n"
+      "                           plans are bit-identical to the dense\n"
+      "                           sweep (oracle: assign_candidate_index_test)\n"
       "  --methods=A,B,...        assignment methods (UB,LB,KM,PPI,GGPSO;\n"
       "                           default all)\n"
       "  --json-dir=DIR           directory for the BENCH_<target>.json\n"
       "  --trace=PATH             write a Chrome trace_event timeline\n"
       "  --metrics=PATH           write a flat metrics-snapshot JSON\n"
-      "  --help                   this text\n";
+      "  --help                   this text\n"
+      "The other online layers have one path each: the batched fleet\n"
+      "forecast (oracle: nn_batched_forecast_test), the event-queue\n"
+      "simulator (oracle: core_event_sim_test) and the per-component KM\n"
+      "solve (oracle: assign_sharding_test).\n";
 }
 
 Status ParseRunFlags(int argc, char** argv, RunOptions* options) {
@@ -153,27 +174,6 @@ Status ParseRunFlags(int argc, char** argv, RunOptions* options) {
                                        std::string(mode.status().message()));
       }
       options->sim.candidate_mode = *mode;
-    } else if (flag == "--forecast") {
-      StatusOr<ForecastMode> mode = ParseForecastMode(value);
-      if (!mode.ok()) {
-        return Status::InvalidArgument(flag + ": " +
-                                       std::string(mode.status().message()));
-      }
-      options->sim.forecast_mode = *mode;
-    } else if (flag == "--engine") {
-      StatusOr<SimEngine> engine = ParseSimEngine(value);
-      if (!engine.ok()) {
-        return Status::InvalidArgument(
-            flag + ": " + std::string(engine.status().message()));
-      }
-      options->sim.engine = *engine;
-    } else if (flag == "--sharding") {
-      StatusOr<ShardMode> mode = ParseShardMode(value);
-      if (!mode.ok()) {
-        return Status::InvalidArgument(flag + ": " +
-                                       std::string(mode.status().message()));
-      }
-      options->sim.shard_mode = *mode;
     } else if (flag == "--methods") {
       options->methods.clear();
       std::size_t start = 0;

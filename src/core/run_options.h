@@ -46,10 +46,10 @@ struct RunOptions {
   int threads = 0;
   OutputSinks sinks;
 
-  /// Checks every field is in range (thread count non-negative, simulator
-  /// windows/radii positive, GGPSO rates in [0,1], no duplicate methods,
-  /// ...). InvalidArgument with a field-naming message on the first
-  /// violation.
+  /// Checks every field is in range (thread count non-negative, every
+  /// floating-point field finite, simulator windows/radii positive, GGPSO
+  /// rates in [0,1], no duplicate methods, ...). InvalidArgument with a
+  /// field-naming message on the first violation.
   Status Validate() const;
 };
 
@@ -59,13 +59,12 @@ std::string RunFlagsHelp();
 /// Parses the shared command-line surface into `options` (which carries
 /// the caller's defaults): --dataset=porto|gowalla,
 /// --workload=porto|porto_surge|gowalla_churn|..., --seed=N, --threads=N,
-/// --horizon=N, --candidates=indexed|dense|incremental,
-/// --forecast=batched|scalar, --engine=event|batch, --methods=KM,PPI,...,
+/// --horizon=N, --candidates=indexed|incremental, --methods=KM,PPI,...,
 /// --json-dir=DIR, --trace=PATH, --metrics=PATH, --help. The mode flags
-/// parse through the typed enums (ParseCandidateMode, ParseForecastMode,
-/// ParseSimEngine, data::ParseWorkloadSpec) so flag strings and enum names
-/// cannot drift. Unknown flags and malformed values are InvalidArgument;
-/// --help is a kFailedPrecondition carrying RunFlagsHelp() so callers
+/// parse through the typed enums (ParseCandidateMode,
+/// data::ParseWorkloadSpec) so flag strings and enum names cannot drift.
+/// Unknown flags and malformed values are InvalidArgument; --help is a
+/// kFailedPrecondition carrying RunFlagsHelp() so callers
 /// print-and-exit-0.
 Status ParseRunFlags(int argc, char** argv, RunOptions* options);
 

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/obs/metrics.h"
 
 namespace tamp::matching {
 namespace {
@@ -14,15 +13,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
-                                   MatchingScratch* scratch,
-                                   KmWarmState* warm) {
+                                   MatchingScratch* scratch) {
   const size_t n = cost.size();
-  if (n == 0) {
-    // Degenerate (empty-shard) solve: nothing to assign. Return without
-    // touching scratch or warm state, so resume data recorded by a
-    // previous larger solve through the same holders stays valid.
-    return AssignmentResult{};
-  }
+  if (n == 0) return AssignmentResult{};  // Nothing to assign.
   const size_t m = cost[0].size();
   TAMP_CHECK_MSG(n <= m, "MinCostAssignment requires rows() <= cols()");
   for (const auto& row : cost) {
@@ -48,42 +41,7 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
   p.assign(m + 1, 0);
   way.assign(m + 1, 0);
 
-  // Warm start: resume after the longest row prefix bitwise-equal to the
-  // previous solve through this holder (KmWarmState's contract). `way` is
-  // a per-row temporary — every entry read during row i's augmentation
-  // backtrack was written earlier in the same row — so only (u, v, p) need
-  // restoring.
-  const bool track =
-      warm != nullptr && n <= warm->max_dim && m <= warm->max_dim;
-  size_t start_row = 0;  // Rows 1..start_row come from checkpoints.
-  if (track && !warm->prev_cost.empty() && warm->prev_cost[0].size() == m) {
-    const size_t limit =
-        std::min({n, warm->prev_cost.size(), warm->checkpoints.size()});
-    while (start_row < limit &&
-           warm->prev_cost[start_row] == cost[start_row]) {
-      ++start_row;
-    }
-  }
-  if (start_row > 0) {
-    static obs::Counter& warm_counter =
-        obs::MetricsRegistry::Global().GetCounter("assign.km_warm_rounds");
-    warm_counter.Increment(static_cast<int64_t>(start_row));
-    const KmWarmState::RowCheckpoint& cp = warm->checkpoints[start_row - 1];
-    std::copy(cp.u.begin(), cp.u.end(), u.begin());
-    v = cp.v;
-    p = cp.p;
-  }
-  if (track) {
-    warm->checkpoints.resize(start_row);  // Stale suffix is for other rows.
-    warm->checkpoints.reserve(n);
-  } else if (warm != nullptr) {
-    // Oversized solve: drop any stored state so a later small solve cannot
-    // resume against a cost matrix that was never recorded.
-    warm->prev_cost.clear();
-    warm->checkpoints.clear();
-  }
-
-  for (size_t i = start_row + 1; i <= n; ++i) {
+  for (size_t i = 1; i <= n; ++i) {
     p[0] = i;
     size_t j0 = 0;
     std::vector<double>& minv = s.minv;
@@ -122,16 +80,7 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
       p[j0] = p[j1];
       j0 = j1;
     } while (j0 != 0);
-    if (track) {
-      // State after row i, for the next solve's prefix resume. u is
-      // truncated to [0, i]: rows past i still hold their initial zeros.
-      warm->checkpoints.push_back(
-          {std::vector<double>(u.begin(),
-                               u.begin() + static_cast<ptrdiff_t>(i) + 1),
-           v, p});
-    }
   }
-  if (track) warm->prev_cost = cost;
 
   AssignmentResult result;
   result.col_of_row.assign(n, -1);
@@ -145,15 +94,13 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
 
 MatchResult MaxWeightMatching(int num_left, int num_right,
                               const std::vector<Edge>& edges,
-                              MatchingScratch* scratch, KmWarmState* warm) {
+                              MatchingScratch* scratch) {
   TAMP_CHECK(num_left >= 0 && num_right >= 0);
   MatchResult result;
   if (num_left == 0 || num_right == 0) return result;
 
   // Validate and scan for the heaviest edge before touching any scratch:
-  // an all-filtered (or empty) edge set must leave a reused scratch — and
-  // any warm state recorded by a previous larger solve — untouched, so a
-  // later real solve still resumes against consistent buffers.
+  // an all-filtered (or empty) edge set returns without solving.
   double max_weight = 0.0;
   for (const Edge& e : edges) {
     TAMP_CHECK(e.left >= 0 && e.left < num_left);
@@ -189,7 +136,7 @@ MatchResult MaxWeightMatching(int num_left, int num_right,
     cost[i].resize(n);
     for (size_t j = 0; j < n; ++j) cost[i][j] = max_weight - weight[i][j];
   }
-  AssignmentResult assignment = MinCostAssignment(cost, &s, warm);
+  AssignmentResult assignment = MinCostAssignment(cost, &s);
 
   for (size_t left = 0; left < n; ++left) {
     int right = assignment.col_of_row[left];

@@ -238,8 +238,8 @@ EvalResult MobilityTrainer::Evaluate(const TrainedModels& models,
     thread_local std::vector<nn::Sequence> batch_preds;
     // All of this worker's samples share worker_params[w], so the whole
     // eval set runs as one shared-parameter (GEMM) batch; the scalar path
-    // remains for non-uniform sample lengths (and as parity reference).
-    bool batched = config_.batched_eval && !eval.empty();
+    // serves non-uniform sample lengths.
+    bool batched = !eval.empty();
     for (size_t i = 1; batched && i < eval.size(); ++i) {
       if (eval[i].input.size() != eval.front().input.size()) batched = false;
     }

@@ -55,13 +55,6 @@ struct TrainerConfig {
   double ctml_beta = 1.0;
   int ctml_k = 4;
   uint64_t seed = 1;
-  /// Evaluate() batches each worker's held-out samples through the SoA
-  /// forecast engine (nn::BatchedSeq2Seq): all of a worker's eval samples
-  /// share one parameter vector, so every encoder/decoder step runs as a
-  /// true GEMM across the sample batch. Bitwise identical to the scalar
-  /// per-sample path (the parity reference), which also serves rows with
-  /// non-uniform input lengths.
-  bool batched_eval = true;
 };
 
 /// Per-worker prediction quality on held-out data.
@@ -106,6 +99,13 @@ class MobilityTrainer {
 
   /// Evaluates trained models on every task's held-out `eval` samples.
   /// `match_radius_km` is the matching-rate threshold a (Def. 7).
+  ///
+  /// Each worker's samples share one parameter vector, so they run as one
+  /// batch through the SoA forecast engine (nn::BatchedSeq2Seq): every
+  /// encoder/decoder step is a true GEMM across the samples. A worker whose
+  /// eval windows differ in length falls back to the per-sample scalar
+  /// Predict; both are bitwise identical (nn_batched_forecast_test checks
+  /// Evaluate against a per-sample scalar oracle).
   EvalResult Evaluate(const TrainedModels& models,
                       const std::vector<LearningTask>& tasks,
                       const geo::GridSpec& grid,

@@ -10,7 +10,7 @@ namespace tamp::nn {
 
 /// Reusable state for BatchedSeq2Seq (DESIGN.md §4i). Grow-only: holding
 /// one scratch across batches (the simulator keeps one for the whole run)
-/// amortizes every buffer here, in the spirit of assign::AssignReuse.
+/// amortizes every buffer here.
 /// Contents never influence results — each Forward fully overwrites what
 /// it reads — so reuse is bit-safe by construction.
 struct BatchedSeq2SeqScratch {

@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "assign/candidates.h"
-#include "assign/ggpso.h"
 #include "assign/km_assigner.h"
-#include "assign/ppi.h"
 #include "common/obs/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -89,6 +87,28 @@ TEST(CandidateIndexTest, QueryIsSupersetOfAcceptingWorkers) {
   }
 }
 
+/// The indexed table must equal the dense T x W sweep (the oracle) row for
+/// row, bitwise. Returns the number of rows compared.
+size_t ExpectSameTable(const std::vector<std::vector<TaskCandidate>>& dense,
+                       const std::vector<std::vector<TaskCandidate>>& indexed) {
+  EXPECT_EQ(dense.size(), indexed.size());
+  if (dense.size() != indexed.size()) return 0;
+  size_t rows = 0;
+  for (size_t t = 0; t < dense.size(); ++t) {
+    EXPECT_EQ(dense[t].size(), indexed[t].size()) << "task " << t;
+    if (dense[t].size() != indexed[t].size()) continue;
+    for (size_t k = 0; k < dense[t].size(); ++k) {
+      EXPECT_EQ(dense[t][k].worker, indexed[t][k].worker);
+      EXPECT_EQ(dense[t][k].b_count, indexed[t][k].b_count);
+      EXPECT_EQ(dense[t][k].min_b, indexed[t][k].min_b);
+      EXPECT_EQ(dense[t][k].min_dis, indexed[t][k].min_dis);
+      EXPECT_EQ(dense[t][k].stage3_feasible, indexed[t][k].stage3_feasible);
+    }
+    rows += dense[t].size();
+  }
+  return rows;
+}
+
 TEST(CandidateIndexTest, GenerateCandidatesDenseIndexedParity) {
   tamp::Rng rng(17);
   for (int trial = 0; trial < 8; ++trial) {
@@ -103,17 +123,7 @@ TEST(CandidateIndexTest, GenerateCandidatesDenseIndexedParity) {
                                     &dense_stats);
     auto indexed = GenerateCandidates(tasks, workers, a, now, &index,
                                       &indexed_stats);
-    ASSERT_EQ(dense.size(), indexed.size());
-    for (size_t t = 0; t < dense.size(); ++t) {
-      ASSERT_EQ(dense[t].size(), indexed[t].size()) << "task " << t;
-      for (size_t k = 0; k < dense[t].size(); ++k) {
-        EXPECT_EQ(dense[t][k].worker, indexed[t][k].worker);
-        EXPECT_EQ(dense[t][k].b_count, indexed[t][k].b_count);
-        EXPECT_EQ(dense[t][k].min_b, indexed[t][k].min_b);
-        EXPECT_EQ(dense[t][k].min_dis, indexed[t][k].min_dis);
-        EXPECT_EQ(dense[t][k].stage3_feasible, indexed[t][k].stage3_feasible);
-      }
-    }
+    ExpectSameTable(dense, indexed);
     EXPECT_EQ(dense_stats.evaluated,
               static_cast<int64_t>(tasks.size() * workers.size()));
     EXPECT_EQ(dense_stats.pruned, 0);
@@ -225,21 +235,26 @@ class PlanParityTest : public ::testing::TestWithParam<data::WorkloadKind> {
   }
 };
 
-TEST_P(PlanParityTest, PpiDenseAndIndexedBitIdentical) {
+TEST_P(PlanParityTest, TableDenseAndIndexedBitIdentical) {
+  // The dense T x W sweep is the oracle of the indexed (and incremental)
+  // candidate source at workload scale. PPI and GGPSO consume this table
+  // as-is, so table identity is their plan identity; KM keeps a dense
+  // switch and is also checked end to end below. 0.5 km is the PPI/GGPSO
+  // default radius, 1.0 km the one the KM checks use.
   Batch batch = BuildBatch(GetParam());
   ASSERT_FALSE(batch.tasks.empty());
-  PpiConfig dense_config;
-  dense_config.use_spatial_index = false;
-  PpiConfig indexed_config;
-  indexed_config.use_spatial_index = true;
-  for (int threads : {1, 4}) {
-    SetParallelThreadCount(threads);
-    AssignmentPlan dense =
-        PpiAssign(batch.tasks, batch.workers, batch.now, dense_config);
-    AssignmentPlan indexed =
-        PpiAssign(batch.tasks, batch.workers, batch.now, indexed_config);
-    EXPECT_FALSE(dense.pairs.empty());
-    ExpectSamePlan(dense, indexed);
+  for (double radius : {0.5, 1.0}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "radius " << radius << ", " << threads << " threads");
+      SetParallelThreadCount(threads);
+      CandidateIndex index(batch.workers);
+      auto dense = GenerateCandidates(batch.tasks, batch.workers, radius,
+                                      batch.now, nullptr);
+      auto indexed = GenerateCandidates(batch.tasks, batch.workers, radius,
+                                        batch.now, &index);
+      EXPECT_GT(ExpectSameTable(dense, indexed), 0u);
+    }
   }
   SetParallelThreadCount(0);
 }
@@ -253,26 +268,6 @@ TEST_P(PlanParityTest, KmDenseAndIndexedBitIdentical) {
                  /*weight_floor_km=*/1e-3, /*use_spatial_index=*/false);
     AssignmentPlan indexed =
         KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3, true);
-    EXPECT_FALSE(dense.pairs.empty());
-    ExpectSamePlan(dense, indexed);
-  }
-  SetParallelThreadCount(0);
-}
-
-TEST_P(PlanParityTest, GgpsoDenseAndIndexedBitIdentical) {
-  Batch batch = BuildBatch(GetParam());
-  GgpsoConfig dense_config;
-  dense_config.generations = 15;
-  dense_config.population = 12;
-  dense_config.use_spatial_index = false;
-  GgpsoConfig indexed_config = dense_config;
-  indexed_config.use_spatial_index = true;
-  for (int threads : {1, 4}) {
-    SetParallelThreadCount(threads);
-    AssignmentPlan dense =
-        GgpsoAssign(batch.tasks, batch.workers, batch.now, dense_config);
-    AssignmentPlan indexed =
-        GgpsoAssign(batch.tasks, batch.workers, batch.now, indexed_config);
     EXPECT_FALSE(dense.pairs.empty());
     ExpectSamePlan(dense, indexed);
   }

@@ -245,10 +245,11 @@ TEST(IncrementalEngineTest, StatsAndTablesAreThreadCountInvariant) {
   }
 }
 
-/// Workload-scale, multi-batch plan parity: cold (dense and indexed) vs
-/// incremental across a churn schedule — workers leave and rejoin between
-/// batches, tasks expire and accumulate declines — for each assigner, on
-/// both datasets, at 1 and 4 threads.
+/// Workload-scale, multi-batch plan parity: cold (indexed, and dense where
+/// the assigner has a dense oracle) vs incremental across a churn
+/// schedule — workers leave and rejoin between batches, tasks expire and
+/// accumulate declines — for each assigner, on both datasets, at 1 and 4
+/// threads.
 class IncrementalPlanParityTest
     : public ::testing::TestWithParam<data::WorkloadKind> {
  protected:
@@ -327,27 +328,22 @@ class IncrementalPlanParityTest
   }
 };
 
-TEST_P(IncrementalPlanParityTest, PpiColdAndIncrementalBitIdentical) {
+TEST_P(IncrementalPlanParityTest, PpiIndexedAndIncrementalBitIdentical) {
+  // PPI has no dense path; its table-level dense oracle is
+  // TableMatchesGenerateCandidatesOnRandomBatches above.
   std::vector<Batch> batches = BuildBatches(GetParam());
-  PpiConfig dense_config;
-  dense_config.use_spatial_index = false;
-  PpiConfig indexed_config;
-  indexed_config.use_spatial_index = true;
+  PpiConfig config;
   for (int threads : {1, 4}) {
     SetParallelThreadCount(threads);
-    AssignReuse reuse;
+    IncrementalCandidateEngine engine;
     bool any = false;
     for (const Batch& batch : batches) {
-      AssignmentPlan dense =
-          PpiAssign(batch.tasks, batch.workers, batch.now, dense_config);
       AssignmentPlan indexed =
-          PpiAssign(batch.tasks, batch.workers, batch.now, indexed_config);
+          PpiAssign(batch.tasks, batch.workers, batch.now, config);
       AssignmentPlan incremental = PpiAssign(batch.tasks, batch.workers,
-                                             batch.now, indexed_config,
-                                             &reuse);
-      ExpectSamePlan(dense, indexed);
-      ExpectSamePlan(dense, incremental);
-      any = any || !dense.pairs.empty();
+                                             batch.now, config, &engine);
+      ExpectSamePlan(indexed, incremental);
+      any = any || !indexed.pairs.empty();
     }
     EXPECT_TRUE(any);
   }
@@ -358,7 +354,7 @@ TEST_P(IncrementalPlanParityTest, KmColdAndIncrementalBitIdentical) {
   std::vector<Batch> batches = BuildBatches(GetParam());
   for (int threads : {1, 4}) {
     SetParallelThreadCount(threads);
-    AssignReuse reuse;
+    IncrementalCandidateEngine engine;
     bool any = false;
     for (const Batch& batch : batches) {
       AssignmentPlan dense = KmAssign(batch.tasks, batch.workers, batch.now,
@@ -369,7 +365,7 @@ TEST_P(IncrementalPlanParityTest, KmColdAndIncrementalBitIdentical) {
           KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3, true);
       AssignmentPlan incremental = KmAssign(batch.tasks, batch.workers,
                                             batch.now, 1.0, 1e-3, true,
-                                            &reuse);
+                                            &engine);
       ExpectSamePlan(dense, indexed);
       ExpectSamePlan(dense, incremental);
       any = any || !dense.pairs.empty();
@@ -384,16 +380,15 @@ TEST_P(IncrementalPlanParityTest, GgpsoColdAndIncrementalBitIdentical) {
   GgpsoConfig config;
   config.generations = 15;
   config.population = 12;
-  config.use_spatial_index = true;
   for (int threads : {1, 4}) {
     SetParallelThreadCount(threads);
-    AssignReuse reuse;
+    IncrementalCandidateEngine engine;
     bool any = false;
     for (const Batch& batch : batches) {
       AssignmentPlan cold =
           GgpsoAssign(batch.tasks, batch.workers, batch.now, config);
       AssignmentPlan incremental =
-          GgpsoAssign(batch.tasks, batch.workers, batch.now, config, &reuse);
+          GgpsoAssign(batch.tasks, batch.workers, batch.now, config, &engine);
       ExpectSamePlan(cold, incremental);
       any = any || !cold.pairs.empty();
     }
@@ -407,15 +402,15 @@ TEST_P(IncrementalPlanParityTest, MethodsSharingAnEngineHitTheCache) {
   // instants against one pipeline-owned engine. The first method pays the
   // evaluations; the later ones must see a positive cache hit rate.
   std::vector<Batch> batches = BuildBatches(GetParam());
-  AssignReuse reuse;
+  IncrementalCandidateEngine engine;
   CandidateGenStats ppi_stats;
   for (const Batch& batch : batches) {
     (void)KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3, true,
-                   &reuse);
+                   &engine);
   }
   for (const Batch& batch : batches) {
-    auto table = reuse.candidates.BuildTable(batch.tasks, batch.workers, 1.0,
-                                             batch.now, &ppi_stats);
+    auto table = engine.BuildTable(batch.tasks, batch.workers, 1.0,
+                                   batch.now, &ppi_stats);
     (void)table;
   }
   EXPECT_GT(ppi_stats.cache_hits, 0);

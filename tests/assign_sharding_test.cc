@@ -1,20 +1,19 @@
 #include "assign/sharding.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "assign/ggpso.h"
-#include "assign/incremental.h"
 #include "assign/km_assigner.h"
-#include "assign/ppi.h"
 #include "common/obs/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "data/workload.h"
 #include "matching/hungarian.h"
+#include "matching_oracle.h"
 
 namespace tamp::assign {
 namespace {
@@ -40,8 +39,8 @@ CandidateWorker MakeWorker(int id, std::vector<geo::TimedPoint> predicted,
   return w;
 }
 
-/// Batch vectors whose ids equal their indices — enough for signature and
-/// plan-structure tests that never evaluate geometry.
+/// Batch vectors whose ids equal their indices — enough for plan-structure
+/// tests that never evaluate geometry.
 void IdentityBatch(int num_tasks, int num_workers,
                    std::vector<SpatialTask>* tasks,
                    std::vector<CandidateWorker>* workers) {
@@ -102,7 +101,6 @@ TEST(ShardPlanTest, ComponentsMembershipAndCountersOnHandBuiltTable) {
   EXPECT_EQ(plan.shard_of_worker, (std::vector<int>{0, 0, -1, 1, -1}));
   EXPECT_EQ(plan.total_rows, 4);
   EXPECT_EQ(plan.max_rows, 3);
-  EXPECT_NE(plan.shards[0].signature, plan.shards[1].signature);
 }
 
 TEST(ShardPlanTest, LptOrdersShardsByCostDescending) {
@@ -121,46 +119,6 @@ TEST(ShardPlanTest, LptOrdersShardsByCostDescending) {
   EXPECT_EQ(plan.shard_of_task, (std::vector<int>{1, 0, 0, 0}));
 }
 
-TEST(ShardPlanTest, SignatureTracksStableIdsNotBatchPositions) {
-  // The same membership (by id) reshuffled to different batch positions
-  // keeps its signature; adding one worker to the membership changes it.
-  std::vector<SpatialTask> tasks;
-  std::vector<CandidateWorker> workers;
-  IdentityBatch(2, 3, &tasks, &workers);
-  auto table_a = TableFromRows(2, {{0, 0}, {0, 1}, {1, 1}});
-  ShardPlan plan_a = BuildShardPlan(table_a, tasks, workers);
-  ASSERT_EQ(plan_a.shards.size(), 1u);
-
-  // Same ids, permuted worker batch order: worker id 0 now at index 2,
-  // id 1 at index 0, and an unrelated id 2 at index 1.
-  std::vector<CandidateWorker> permuted = {workers[1], workers[2],
-                                           workers[0]};
-  auto table_b = TableFromRows(2, {{0, 0}, {0, 2}, {1, 0}});
-  ShardPlan plan_b = BuildShardPlan(table_b, tasks, permuted);
-  ASSERT_EQ(plan_b.shards.size(), 1u);
-  EXPECT_EQ(plan_a.shards[0].signature, plan_b.shards[0].signature);
-
-  // Grow the membership by worker id 2: different signature.
-  auto table_c = TableFromRows(2, {{0, 0}, {0, 1}, {1, 1}, {1, 2}});
-  ShardPlan plan_c = BuildShardPlan(table_c, tasks, workers);
-  ASSERT_EQ(plan_c.shards.size(), 1u);
-  EXPECT_NE(plan_a.shards[0].signature, plan_c.shards[0].signature);
-}
-
-TEST(ShardWarmPoolTest, EvictsOnlyWhenTheIncomingBatchWouldOverflow) {
-  ShardWarmPool pool;
-  pool.BeginBatch(2);
-  matching::KmWarmState* a = pool.Acquire(1);
-  matching::KmWarmState* b = pool.Acquire(2);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.size(), 2u);
-  pool.BeginBatch(10);  // Fits: nothing evicted, holders stable.
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.Acquire(1), a);
-  pool.BeginBatch(4095);  // 2 + 4095 > 4096: everything evicted.
-  EXPECT_EQ(pool.size(), 0u);
-}
-
 void ExpectSameMatch(const matching::MatchResult& a,
                      const matching::MatchResult& b) {
   ASSERT_EQ(a.pairs.size(), b.pairs.size());
@@ -170,103 +128,174 @@ void ExpectSameMatch(const matching::MatchResult& a,
   EXPECT_EQ(a.total_weight, b.total_weight);  // Bitwise, not approximate.
 }
 
+/// A valid matching of `edges`: every pair is a positive edge, no vertex
+/// is used twice, pairs come in ascending left order, and total_weight is
+/// the sum of the matched pairs' (duplicate-max) weights.
+void ExpectValidMatching(const matching::MatchResult& result,
+                         const std::vector<matching::Edge>& edges) {
+  std::set<int> lefts, rights;
+  double total = 0.0;
+  for (size_t i = 0; i < result.pairs.size(); ++i) {
+    const auto [l, r] = result.pairs[i];
+    EXPECT_TRUE(lefts.insert(l).second) << "left " << l << " used twice";
+    EXPECT_TRUE(rights.insert(r).second) << "right " << r << " used twice";
+    if (i > 0) {
+      EXPECT_LT(result.pairs[i - 1].first, l);
+    }
+    double weight = 0.0;
+    for (const matching::Edge& e : edges) {
+      if (e.left == l && e.right == r) weight = std::max(weight, e.weight);
+    }
+    EXPECT_GT(weight, 0.0) << "(" << l << ", " << r << ") is not an edge";
+    total += weight;
+  }
+  EXPECT_NEAR(result.total_weight, total, 1e-9);
+}
+
 TEST(ShardedMatchingTest, BruteForceRandomGraphParityAtEveryThreadCount) {
-  // The acceptance property: on random candidate graphs the sharded solve
-  // is bitwise-equal (pairs and total) to the global KM, at 1/2/4/8
-  // threads. Duplicate edges (max wins) and non-positive edges (dropped)
-  // are sprinkled in because the global matcher handles both.
+  // The assigners' only solve, on random candidate graphs at 1/2/4/8
+  // threads, against two oracles: the global KM, which it must match
+  // bitwise (pairs and total) whenever the weights are continuous, and an
+  // exhaustive search for the optimum on instances of at most 8 per side.
+  // The families add sparse graphs (density <= 0.2), lopsided ones (2x8,
+  // 8x2) and tied weights drawn from {1, 2, 3}; with ties only the total
+  // and the matching's validity are asserted, since equal-weight optima
+  // may pick different pairs. Duplicate edges (max wins) and non-positive
+  // edges (dropped) are sprinkled in because the global matcher handles
+  // both.
+  struct Family {
+    const char* name;
+    int trials;
+    int num_tasks;    // 0 = drawn from 1..max_side.
+    int num_workers;  // 0 = drawn from 1..max_side.
+    int max_side;
+    double density_lo, density_hi;
+    bool tied;
+  };
+  constexpr int kMaxBruteForceSide = 8;
+  const Family families[] = {
+      {"general", 25, 0, 0, 12, 0.05, 0.4, false},
+      {"small", 25, 0, 0, 8, 0.05, 0.4, false},
+      {"sparse", 20, 0, 0, 8, 0.02, 0.2, false},
+      {"lopsided 2x8", 10, 2, 8, 8, 0.1, 0.6, false},
+      {"lopsided 8x2", 10, 8, 2, 8, 0.1, 0.6, false},
+      {"tied", 20, 0, 0, 8, 0.05, 0.5, true},
+      {"tied 2x8", 10, 2, 8, 8, 0.1, 0.6, true},
+      {"tied 8x2", 10, 8, 2, 8, 0.1, 0.6, true},
+  };
   tamp::Rng rng(808);
-  for (int trial = 0; trial < 25; ++trial) {
-    const int num_tasks = 1 + static_cast<int>(rng.UniformInt(0, 11));
-    const int num_workers = 1 + static_cast<int>(rng.UniformInt(0, 11));
-    const double density = rng.Uniform(0.05, 0.4);
+  for (const Family& family : families) {
+    for (int trial = 0; trial < family.trials; ++trial) {
+      auto draw_side = [&](int fixed) {
+        return fixed > 0 ? fixed
+                         : 1 + static_cast<int>(
+                                   rng.UniformInt(0, family.max_side - 1));
+      };
+      const int num_tasks = draw_side(family.num_tasks);
+      const int num_workers = draw_side(family.num_workers);
+      const double density = rng.Uniform(family.density_lo, family.density_hi);
+      auto draw_weight = [&]() {
+        return family.tied ? static_cast<double>(rng.UniformInt(1, 3))
+                           : rng.Uniform(0.1, 5.0);
+      };
+      std::vector<matching::Edge> edges;
+      std::vector<std::pair<int, int>> rows;
+      for (int t = 0; t < num_tasks; ++t) {
+        for (int w = 0; w < num_workers; ++w) {
+          if (!rng.Bernoulli(density)) continue;
+          edges.push_back({t, w, draw_weight()});
+          rows.emplace_back(t, w);
+          if (rng.Bernoulli(0.1)) {  // Duplicate: the max must win.
+            edges.push_back({t, w, draw_weight()});
+          }
+        }
+      }
+      if (rng.Bernoulli(0.5) && !rows.empty()) {
+        // A non-positive edge: both solvers drop it (no table row needed).
+        edges.push_back({rows[0].first, rows[0].second, 0.0});
+      }
+      std::vector<SpatialTask> tasks;
+      std::vector<CandidateWorker> workers;
+      IdentityBatch(num_tasks, num_workers, &tasks, &workers);
+      auto table = TableFromRows(num_tasks, rows);
+      ShardPlan plan = BuildShardPlan(table, tasks, workers);
+
+      const bool brute_force = num_tasks <= kMaxBruteForceSide &&
+                               num_workers <= kMaxBruteForceSide;
+      const double best =
+          brute_force ? matching::BruteForceBest(num_tasks, num_workers, edges)
+                      : 0.0;
+      matching::MatchResult global =
+          matching::MaxWeightMatching(num_tasks, num_workers, edges);
+      for (int threads : {1, 2, 4, 8}) {
+        SCOPED_TRACE(::testing::Message()
+                     << family.name << " trial " << trial << ", " << threads
+                     << " threads");
+        SetParallelThreadCount(threads);
+        matching::MatchResult sharded = ShardedMaxWeightMatching(
+            num_tasks, num_workers, edges, plan);
+        ExpectValidMatching(sharded, edges);
+        if (brute_force) {
+          EXPECT_NEAR(sharded.total_weight, best, 1e-9);
+        }
+        if (!family.tied) ExpectSameMatch(global, sharded);
+      }
+      SetParallelThreadCount(0);
+    }
+  }
+}
+
+TEST(ShardedMatchingTest, LargeComponentsMatchGlobalAtEveryThreadCount) {
+  // Several components of 20-40 tasks and workers each, with members
+  // interleaved across the batch, so every shard solve is long enough for
+  // the pool threads to run them concurrently and the shard-local
+  // renumbering is non-trivial. The sharded solve must equal the global KM
+  // bitwise at every thread count.
+  tamp::Rng rng(4242);
+  for (int trial = 0; trial < 3; ++trial) {
+    const int num_components = 6;
+    std::vector<int> task_component, worker_component;
+    for (int c = 0; c < num_components; ++c) {
+      const int t = 20 + static_cast<int>(rng.UniformInt(0, 20));
+      const int w = 20 + static_cast<int>(rng.UniformInt(0, 20));
+      task_component.insert(task_component.end(), static_cast<size_t>(t), c);
+      worker_component.insert(worker_component.end(), static_cast<size_t>(w),
+                              c);
+    }
+    rng.Shuffle(task_component);
+    rng.Shuffle(worker_component);
+    const int num_tasks = static_cast<int>(task_component.size());
+    const int num_workers = static_cast<int>(worker_component.size());
     std::vector<matching::Edge> edges;
     std::vector<std::pair<int, int>> rows;
     for (int t = 0; t < num_tasks; ++t) {
       for (int w = 0; w < num_workers; ++w) {
-        if (!rng.Bernoulli(density)) continue;
+        if (task_component[static_cast<size_t>(t)] !=
+                worker_component[static_cast<size_t>(w)] ||
+            !rng.Bernoulli(0.3)) {
+          continue;
+        }
         edges.push_back({t, w, rng.Uniform(0.1, 5.0)});
         rows.emplace_back(t, w);
-        if (rng.Bernoulli(0.1)) {  // Duplicate: the max must win.
-          edges.push_back({t, w, rng.Uniform(0.1, 5.0)});
-        }
       }
-    }
-    if (rng.Bernoulli(0.5) && !rows.empty()) {
-      // A non-positive edge: both solvers drop it (no table row needed).
-      edges.push_back({rows[0].first, rows[0].second, 0.0});
     }
     std::vector<SpatialTask> tasks;
     std::vector<CandidateWorker> workers;
     IdentityBatch(num_tasks, num_workers, &tasks, &workers);
     auto table = TableFromRows(num_tasks, rows);
     ShardPlan plan = BuildShardPlan(table, tasks, workers);
+    ASSERT_GE(plan.shards.size(), static_cast<size_t>(num_components));
 
     matching::MatchResult global =
         matching::MaxWeightMatching(num_tasks, num_workers, edges);
     for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << ", " << threads << " threads");
       SetParallelThreadCount(threads);
-      matching::MatchResult sharded = ShardedMaxWeightMatching(
-          num_tasks, num_workers, edges, plan);
-      ExpectSameMatch(global, sharded);
+      ExpectSameMatch(global, ShardedMaxWeightMatching(num_tasks, num_workers,
+                                                       edges, plan));
     }
     SetParallelThreadCount(0);
-  }
-}
-
-TEST(ShardedMatchingTest, WarmPoolUnderWorkerPermutationStaysBitIdentical) {
-  // Satellite-1 regression: the same memberships come back batch after
-  // batch but the worker *batch order* permutes — so the warm holder found
-  // by signature faces a different column ordering. The bitwise row-prefix
-  // gate must recompute rather than silently resume, keeping the plan
-  // identical to the cold and global solves on every batch.
-  tamp::Rng rng(4242);
-  const int num_tasks = 10, num_workers = 12;
-  // Id-level weights, fixed across batches.
-  std::vector<std::vector<double>> weight_of_ids(
-      num_tasks, std::vector<double>(num_workers, 0.0));
-  for (int t = 0; t < num_tasks; ++t) {
-    for (int w = 0; w < num_workers; ++w) {
-      if (rng.Bernoulli(0.3)) weight_of_ids[t][w] = rng.Uniform(0.1, 5.0);
-    }
-  }
-  std::vector<SpatialTask> tasks;
-  std::vector<CandidateWorker> id_workers;
-  IdentityBatch(num_tasks, num_workers, &tasks, &id_workers);
-
-  ShardWarmPool pool;
-  std::vector<int> perm(static_cast<size_t>(num_workers));
-  for (int w = 0; w < num_workers; ++w) perm[static_cast<size_t>(w)] = w;
-  for (int batch = 0; batch < 6; ++batch) {
-    // A fresh worker order each batch (batch 0 is the identity).
-    if (batch > 0) rng.Shuffle(perm);
-    std::vector<CandidateWorker> workers;
-    for (int idx : perm) {
-      workers.push_back(id_workers[static_cast<size_t>(idx)]);
-    }
-    std::vector<matching::Edge> edges;
-    std::vector<std::pair<int, int>> rows;
-    for (int t = 0; t < num_tasks; ++t) {
-      for (int w = 0; w < num_workers; ++w) {
-        const int id = workers[static_cast<size_t>(w)].id;
-        const double weight =
-            weight_of_ids[static_cast<size_t>(t)][static_cast<size_t>(id)];
-        if (weight <= 0.0) continue;
-        edges.push_back({t, w, weight});
-        rows.emplace_back(t, w);
-      }
-    }
-    auto table = TableFromRows(num_tasks, rows);
-    ShardPlan plan = BuildShardPlan(table, tasks, workers);
-    matching::MatchResult global =
-        matching::MaxWeightMatching(num_tasks, num_workers, edges);
-    matching::MatchResult cold =
-        ShardedMaxWeightMatching(num_tasks, num_workers, edges, plan);
-    matching::MatchResult warm = ShardedMaxWeightMatching(
-        num_tasks, num_workers, edges, plan, &pool);
-    ExpectSameMatch(global, cold);
-    ExpectSameMatch(global, warm);
-    EXPECT_GT(pool.size(), 0u);
   }
 }
 
@@ -308,10 +337,10 @@ TEST(ShardedMatchingTest, DegenerateInputsReturnEmptyWithoutSolving) {
   EXPECT_EQ(one.pairs[0], (std::pair<int, int>{0, 1}));
 }
 
-/// Workload-scale sharded-vs-global plan parity (the ISSUE acceptance
-/// gate): KM, PPI, and GGPSO on Porto and Gowalla batches at 1 and 4
-/// threads, with and without incremental reuse. Mirrors the churn schedule
-/// of assign_incremental_test's IncrementalPlanParityTest.
+/// Workload-scale sharded-vs-global plan parity: KmAssign's production
+/// path (per-component solve) against its global-solve oracle on Porto and
+/// Gowalla batches at 1 and 4 threads. PPI has no global path; its stages
+/// solve through the same ShardedMaxWeightMatching the tests above pin.
 class ShardingPlanParityTest
     : public ::testing::TestWithParam<data::WorkloadKind> {
  protected:
@@ -345,7 +374,7 @@ class ShardingPlanParityTest
       }
       for (size_t w = 0; w < workload.workers.size(); ++w) {
         // Churn: each batch a different ~1/5 of the fleet is offline, so
-        // shard memberships change (and warm signatures with them).
+        // shard memberships change between batches.
         if ((static_cast<int>(w) + b) % 5 == 0) continue;
         const data::WorkerRecord& record = workload.workers[w];
         std::vector<geo::TimedPoint> pred;
@@ -379,72 +408,17 @@ TEST_P(ShardingPlanParityTest, KmShardedAndGlobalBitIdentical) {
   std::vector<Batch> batches = BuildBatches(GetParam());
   for (int threads : {1, 4}) {
     SetParallelThreadCount(threads);
-    AssignReuse reuse;
-    bool any = false;
-    for (const Batch& batch : batches) {
-      AssignmentPlan global = KmAssign(batch.tasks, batch.workers, batch.now,
-                                       /*match_radius_km=*/1.0,
-                                       /*weight_floor_km=*/1e-3,
-                                       /*use_spatial_index=*/true);
-      AssignmentPlan sharded =
-          KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3, true,
-                   /*reuse=*/nullptr, /*shard_components=*/true);
-      AssignmentPlan sharded_warm =
-          KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3, true,
-                   &reuse, /*shard_components=*/true);
-      ExpectSamePlan(global, sharded);
-      ExpectSamePlan(global, sharded_warm);
-      any = any || !global.pairs.empty();
-    }
-    EXPECT_TRUE(any);
-  }
-  SetParallelThreadCount(0);
-}
-
-TEST_P(ShardingPlanParityTest, PpiShardedAndGlobalBitIdentical) {
-  std::vector<Batch> batches = BuildBatches(GetParam());
-  PpiConfig global_config;
-  PpiConfig sharded_config;
-  sharded_config.shard_components = true;
-  for (int threads : {1, 4}) {
-    SetParallelThreadCount(threads);
-    AssignReuse reuse;
     bool any = false;
     for (const Batch& batch : batches) {
       AssignmentPlan global =
-          PpiAssign(batch.tasks, batch.workers, batch.now, global_config);
+          KmAssign(batch.tasks, batch.workers, batch.now,
+                   /*match_radius_km=*/1.0, /*weight_floor_km=*/1e-3,
+                   /*use_spatial_index=*/true, /*engine=*/nullptr,
+                   /*shard_components=*/false);
       AssignmentPlan sharded =
-          PpiAssign(batch.tasks, batch.workers, batch.now, sharded_config);
-      AssignmentPlan sharded_warm = PpiAssign(
-          batch.tasks, batch.workers, batch.now, sharded_config, &reuse);
+          KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3);
       ExpectSamePlan(global, sharded);
-      ExpectSamePlan(global, sharded_warm);
       any = any || !global.pairs.empty();
-    }
-    EXPECT_TRUE(any);
-  }
-  SetParallelThreadCount(0);
-}
-
-TEST_P(ShardingPlanParityTest, GgpsoFlagOnAndOffBitIdentical) {
-  // GGPSO's sharding is record-only (GgpsoConfig doc): the flag must not
-  // perturb the plan in any way.
-  std::vector<Batch> batches = BuildBatches(GetParam());
-  GgpsoConfig off;
-  off.generations = 15;
-  off.population = 12;
-  GgpsoConfig on = off;
-  on.shard_components = true;
-  for (int threads : {1, 4}) {
-    SetParallelThreadCount(threads);
-    bool any = false;
-    for (const Batch& batch : batches) {
-      AssignmentPlan plan_off =
-          GgpsoAssign(batch.tasks, batch.workers, batch.now, off);
-      AssignmentPlan plan_on =
-          GgpsoAssign(batch.tasks, batch.workers, batch.now, on);
-      ExpectSamePlan(plan_off, plan_on);
-      any = any || !plan_off.pairs.empty();
     }
     EXPECT_TRUE(any);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "common/obs/metrics.h"
@@ -77,8 +78,17 @@ assign::SpatialTask MakeTask(int id, double x, double y, double release_min,
   return task;
 }
 
-/// Runs a hand-built workload through the event core directly (triggers on
-/// the same cadence BatchSimulator schedules), returning metrics + stats
+/// A small model: the hand-built tests use the prediction-free LB, which
+/// never consults it.
+nn::Seq2SeqConfig TinyModelConfig() {
+  nn::Seq2SeqConfig model_config;
+  model_config.input_dim = data::kSampleInputDim;
+  model_config.hidden_dim = 4;
+  return model_config;
+}
+
+/// Runs a hand-built workload through the event core directly, on the
+/// batch cadence ScheduleBatchTriggers lays down, returning metrics + stats
 /// and optionally capturing the drained event sequence.
 struct EventRun {
   SimMetrics metrics;
@@ -88,21 +98,11 @@ struct EventRun {
 EventRun RunEventHorizon(const data::Workload& workload,
                          const SimulatorConfig& config, AssignMethod method,
                          std::vector<SimEvent>* trace = nullptr) {
-  nn::Seq2SeqConfig model_config;
-  model_config.input_dim = data::kSampleInputDim;
-  model_config.hidden_dim = 4;
-  nn::EncoderDecoder model(model_config);
+  nn::EncoderDecoder model(TinyModelConfig());
   BatchAssignStep step(workload, model, config, nullptr);
   EventSimulator sim(workload, config, step);
   sim.set_event_trace(trace);
-  const double start = workload.task_stream.front().release_time_min;
-  double end = 0.0;
-  for (const assign::SpatialTask& task : workload.task_stream) {
-    end = std::max(end, task.deadline_min);
-  }
-  for (double now = start; now <= end; now += config.batch_window_min) {
-    sim.ScheduleAssignTrigger(now);
-  }
+  sim.ScheduleBatchTriggers();
   std::vector<WorkerPredictor> predictors(workload.workers.size());
   EventRun run;
   run.metrics = sim.Run(method, predictors);
@@ -110,25 +110,114 @@ EventRun RunEventHorizon(const data::Workload& workload,
   return run;
 }
 
-/// Runs the same workload through BatchSimulator with a chosen engine
-/// (prediction-free LB, so no trained models are needed).
-SimMetrics RunEngine(const data::Workload& workload, SimulatorConfig config,
-                     SimEngine engine) {
-  config.engine = engine;
-  nn::Seq2SeqConfig model_config;
-  model_config.input_dim = data::kSampleInputDim;
-  model_config.hidden_dim = 4;
-  nn::EncoderDecoder model(model_config);
-  BatchSimulator sim(workload, model, config);
-  std::vector<WorkerPredictor> predictors(workload.workers.size());
-  return sim.Run(AssignMethod::kLowerBound, predictors);
+// ---------------------------------------------------------------------------
+// The oracle: the batch-synchronous loop of the paper's online stage.
+// ---------------------------------------------------------------------------
+
+/// Outcome of the reference loop.
+struct ReferenceRun {
+  SimMetrics metrics;
+  int64_t skips = 0;  // Windows with an empty pool or nobody available.
+};
+
+/// The batch-synchronous online stage (Section IV-B), written out as the
+/// paper describes it: every batch_window_min from the first release to
+/// the last deadline, admit the released tasks, purge the expired ones,
+/// collect the on-shift, in-session, free workers and run one
+/// BatchAssignStep. Accepted tasks leave the pool and busy their worker;
+/// declined ones stay pooled. It shares BatchAssignStep with the event
+/// engine and nothing else: no queue, no events, its own window arithmetic
+/// and availability predicate. Workloads with a dropout model are out of
+/// its scope.
+ReferenceRun RunBatchReference(const data::Workload& workload,
+                               const SimulatorConfig& config,
+                               const nn::EncoderDecoder& model,
+                               AssignMethod method,
+                               const std::vector<WorkerPredictor>& predictors) {
+  ReferenceRun run;
+  SimMetrics& metrics = run.metrics;
+  const std::vector<data::WorkerRecord>& workers = workload.workers;
+  metrics.total_tasks = static_cast<int>(workload.task_stream.size());
+  if (workers.empty() || workload.task_stream.empty()) return run;
+
+  BatchAssignStep step(workload, model, config, nullptr);
+  const double horizon_start = workload.task_stream.front().release_time_min;
+  double horizon_end = 0.0;
+  for (const assign::SpatialTask& task : workload.task_stream) {
+    horizon_end = std::max(horizon_end, task.deadline_min);
+  }
+  std::vector<double> busy_until(workers.size(), 0.0);
+  std::deque<assign::SpatialTask> pool;  // Pending (released, unexpired).
+  size_t next_release = 0;
+  for (double now = horizon_start; now <= horizon_end;
+       now += config.batch_window_min) {
+    while (next_release < workload.task_stream.size() &&
+           workload.task_stream[next_release].release_time_min <= now) {
+      pool.push_back(workload.task_stream[next_release]);
+      ++next_release;
+    }
+    PurgeExpiredTasks(pool, now);
+    if (pool.empty()) {
+      ++run.skips;
+      continue;
+    }
+    std::vector<int> available;
+    for (size_t w = 0; w < workers.size(); ++w) {
+      if (busy_until[w] > now) continue;
+      if (workers[w].test.empty()) continue;
+      if (now < workers[w].test.start_time() ||
+          now > workers[w].test.end_time()) {
+        continue;
+      }
+      if (!workers[w].AvailableAt(now)) continue;  // Between sessions.
+      available.push_back(static_cast<int>(w));
+    }
+    if (available.empty()) {
+      ++run.skips;
+      continue;
+    }
+
+    BatchAssignStep::Outcome outcome =
+        step.Step(method, predictors, now, pool, available);
+    metrics.assignments += outcome.assignments;
+    for (const auto& [task_id, worker_id] : outcome.declined) {
+      for (assign::SpatialTask& pooled : pool) {
+        if (pooled.id == task_id) {
+          pooled.declined_worker_ids.push_back(worker_id);
+          break;
+        }
+      }
+    }
+    for (const BatchAssignStep::Accepted& accepted : outcome.accepted) {
+      ++metrics.accepted;
+      ++metrics.completed;
+      metrics.total_cost_km += accepted.detour_km;
+      busy_until[static_cast<size_t>(accepted.worker)] =
+          accepted.busy_until_min;
+      for (auto it = pool.begin(); it != pool.end(); ++it) {
+        if (it->id == accepted.task_id) {
+          pool.erase(it);
+          break;
+        }
+      }
+    }
+  }
+  return run;
 }
 
-void ExpectEnginesAgree(const data::Workload& workload,
-                        const SimulatorConfig& config, const char* context) {
-  ExpectBitwiseEqual(RunEngine(workload, config, SimEngine::kEvent),
-                     RunEngine(workload, config, SimEngine::kBatchReplay),
-                     context);
+/// Event engine vs the reference loop on a hand-built workload, with the
+/// prediction-free LB (no trained models needed).
+void ExpectMatchesReference(const data::Workload& workload,
+                            const SimulatorConfig& config,
+                            const char* context) {
+  nn::EncoderDecoder model(TinyModelConfig());
+  std::vector<WorkerPredictor> predictors(workload.workers.size());
+  ExpectBitwiseEqual(
+      RunEventHorizon(workload, config, AssignMethod::kLowerBound).metrics,
+      RunBatchReference(workload, config, model, AssignMethod::kLowerBound,
+                        predictors)
+          .metrics,
+      context);
 }
 
 TEST(EventSimEdgeCaseTest, SameInstantExpiryBeatsAssignTrigger) {
@@ -153,7 +242,7 @@ TEST(EventSimEdgeCaseTest, SameInstantExpiryBeatsAssignTrigger) {
   // Both expiry events fire (task 1's lazily, after its acceptance).
   EXPECT_EQ(run.stats.task_expiries, 2);
   EXPECT_EQ(run.stats.task_arrivals, 2);
-  ExpectEnginesAgree(workload, config, "same-instant expiry");
+  ExpectMatchesReference(workload, config, "same-instant expiry");
 }
 
 TEST(EventSimEdgeCaseTest, LogoutMidServiceStillCompletes) {
@@ -178,7 +267,7 @@ TEST(EventSimEdgeCaseTest, LogoutMidServiceStillCompletes) {
   // Exactly one completion event: the mid-service logout does not abort
   // the committed task (only the dropout model can).
   EXPECT_EQ(run.stats.worker_completions, 1);
-  ExpectEnginesAgree(workload, config, "logout mid-service");
+  ExpectMatchesReference(workload, config, "logout mid-service");
 }
 
 TEST(EventSimEdgeCaseTest, SessionGapLeavesMidGapTaskUnserved) {
@@ -199,7 +288,7 @@ TEST(EventSimEdgeCaseTest, SessionGapLeavesMidGapTaskUnserved) {
   EXPECT_EQ(run.metrics.completed, 1);
   EXPECT_EQ(run.stats.worker_logins, 2);
   EXPECT_EQ(run.stats.worker_logouts, 2);
-  ExpectEnginesAgree(workload, config, "session gap");
+  ExpectMatchesReference(workload, config, "session gap");
 }
 
 TEST(EventSimEdgeCaseTest, CertainDropoutUnderBusyUntilArrival) {
@@ -231,14 +320,13 @@ TEST(EventSimEdgeCaseTest, CertainDropoutUnderBusyUntilArrival) {
   EXPECT_GE(run.stats.task_arrivals, run.stats.dropouts);
 }
 
-TEST(EventSimEdgeCaseTest, SkippedTriggersCountIdenticallyInBothEngines) {
-  // Satellite regression: a trigger that finds no pending task, or tasks
-  // but nobody available, must skip the solver yet still be accounted —
-  // and the batch-replay loop counts its matching `continue` sites on the
-  // same sim.batch_skips counter, so the engines' totals agree. The
-  // workload forces both skip kinds: after task 0 is served the pool sits
-  // empty for ~40 minutes of triggers, and task 1 (released at 50) finds
-  // every session already over.
+TEST(EventSimEdgeCaseTest, SkippedTriggersCountLikeTheReferenceLoop) {
+  // A trigger that finds no pending task, or tasks but nobody available,
+  // must skip the solver yet still be accounted on sim.batch_skips — the
+  // same windows the reference loop skips. The workload forces both skip
+  // kinds: after task 0 is served the pool sits empty for ~40 minutes of
+  // triggers, and task 1 (released at 50) finds every session already
+  // over.
   data::Workload workload;
   workload.workers.push_back(StationaryWorker(0, 5.0, 5.0, 200.0));
   workload.workers[0].availability = {{10.0, 12.0}, {30.0, 32.0}};
@@ -257,17 +345,18 @@ TEST(EventSimEdgeCaseTest, SkippedTriggersCountIdenticallyInBothEngines) {
   const int64_t event_skips = skips.value() - skips_before;
   const int64_t event_batches = batches.value() - batches_before;
 
-  skips_before = skips.value();
   batches_before = batches.value();
-  SimMetrics replay = RunEngine(workload, config, SimEngine::kBatchReplay);
-  const int64_t replay_skips = skips.value() - skips_before;
-  const int64_t replay_batches = batches.value() - batches_before;
+  nn::EncoderDecoder model(TinyModelConfig());
+  std::vector<WorkerPredictor> predictors(workload.workers.size());
+  ReferenceRun reference = RunBatchReference(
+      workload, config, model, AssignMethod::kLowerBound, predictors);
+  const int64_t reference_batches = batches.value() - batches_before;
 
-  ExpectBitwiseEqual(event_run.metrics, replay, "skip accounting");
+  ExpectBitwiseEqual(event_run.metrics, reference.metrics, "skip accounting");
   EXPECT_GT(event_skips, 0);
   EXPECT_GT(event_batches, 0);
-  EXPECT_EQ(event_skips, replay_skips);
-  EXPECT_EQ(event_batches, replay_batches);
+  EXPECT_EQ(event_skips, reference.skips);
+  EXPECT_EQ(event_batches, reference_batches);
   // Every trigger either reached the solver (sim.batches) or was skipped.
   EXPECT_EQ(event_run.stats.assign_triggers, event_batches + event_skips);
 }
@@ -297,7 +386,8 @@ TEST(EventSimEdgeCaseTest, StatsAccountForEveryEvent) {
 }
 
 // ---------------------------------------------------------------------------
-// Trained-pipeline parity: event engine vs batch replay, Porto + Gowalla.
+// Trained-pipeline parity: the pipeline's event engine vs the reference
+// loop, Porto + Gowalla.
 // ---------------------------------------------------------------------------
 
 data::WorkloadConfig ParityWorkload(data::WorkloadKind kind) {
@@ -348,21 +438,39 @@ class EventBatchParityTest : public ::testing::Test {
     porto_ = nullptr;
   }
 
-  /// The tentpole acceptance criterion: the event-driven core reproduces
-  /// the batch-synchronous SimMetrics bitwise, for every assignment
-  /// method, at 1 and 4 threads.
-  static void ExpectEngineParity(const data::Workload& workload,
-                                 const OfflineResult& offline) {
-    PipelineConfig batch_config = ParityPipeline();
-    batch_config.sim.engine = SimEngine::kBatchReplay;
-    TampPipeline event_pipeline(ParityPipeline());  // Default: kEvent.
-    TampPipeline batch_pipeline(batch_config);
+  /// The predictors TampPipeline::RunOnline hands the simulator: trained
+  /// models for the predicting methods, none for UB/LB.
+  static std::vector<WorkerPredictor> PredictorsFor(
+      AssignMethod method, const data::Workload& workload,
+      const OfflineResult& offline) {
+    std::vector<WorkerPredictor> predictors(workload.workers.size());
+    if (method != AssignMethod::kKm && method != AssignMethod::kPpi &&
+        method != AssignMethod::kGgpso) {
+      return predictors;
+    }
+    for (size_t w = 0; w < predictors.size(); ++w) {
+      predictors[w].params = &offline.models.worker_params[w];
+      predictors[w].matching_rate = offline.eval.per_worker[w].matching_rate;
+    }
+    return predictors;
+  }
+
+  /// The online stage the library runs (TampPipeline::RunOnline on the
+  /// event engine) reproduces the batch-synchronous reference loop's
+  /// SimMetrics bitwise, for every assignment method, at 1 and 4 threads.
+  static void ExpectReferenceParity(const data::Workload& workload,
+                                    const OfflineResult& offline) {
+    TampPipeline pipeline(ParityPipeline());
+    nn::EncoderDecoder model(pipeline.config().trainer.model);
     for (int threads : {1, 4}) {
       ThreadCountGuard guard(threads);
       for (AssignMethod method : AllAssignMethods()) {
-        SimMetrics event = event_pipeline.RunOnline(workload, offline, method);
-        SimMetrics batch = batch_pipeline.RunOnline(workload, offline, method);
-        ExpectBitwiseEqual(event, batch, AssignMethodName(method).data());
+        SimMetrics event = pipeline.RunOnline(workload, offline, method);
+        ReferenceRun reference = RunBatchReference(
+            workload, pipeline.config().sim, model, method,
+            PredictorsFor(method, workload, offline));
+        ExpectBitwiseEqual(event, reference.metrics,
+                           AssignMethodName(method).data());
       }
     }
   }
@@ -379,11 +487,11 @@ data::Workload* EventBatchParityTest::gowalla_ = nullptr;
 OfflineResult* EventBatchParityTest::gowalla_offline_ = nullptr;
 
 TEST_F(EventBatchParityTest, PortoBitwiseParity) {
-  ExpectEngineParity(*porto_, *porto_offline_);
+  ExpectReferenceParity(*porto_, *porto_offline_);
 }
 
 TEST_F(EventBatchParityTest, GowallaBitwiseParity) {
-  ExpectEngineParity(*gowalla_, *gowalla_offline_);
+  ExpectReferenceParity(*gowalla_, *gowalla_offline_);
 }
 
 TEST_F(EventBatchParityTest, EventOrderIdenticalAcrossThreadCounts) {
@@ -392,17 +500,8 @@ TEST_F(EventBatchParityTest, EventOrderIdenticalAcrossThreadCounts) {
   // method so the fleet forecast fan-out actually runs in parallel.
   const PipelineConfig config = ParityPipeline();
   nn::EncoderDecoder model(porto_offline_->models.model_config);
-  std::vector<WorkerPredictor> predictors(porto_->workers.size());
-  for (size_t w = 0; w < porto_->workers.size(); ++w) {
-    predictors[w].params = &porto_offline_->models.worker_params[w];
-    predictors[w].matching_rate =
-        porto_offline_->eval.per_worker[w].matching_rate;
-  }
-  const double start = porto_->task_stream.front().release_time_min;
-  double end = 0.0;
-  for (const assign::SpatialTask& task : porto_->task_stream) {
-    end = std::max(end, task.deadline_min);
-  }
+  const std::vector<WorkerPredictor> predictors =
+      PredictorsFor(AssignMethod::kKm, *porto_, *porto_offline_);
 
   std::vector<SimEvent> reference;
   SimMetrics reference_metrics;
@@ -412,10 +511,7 @@ TEST_F(EventBatchParityTest, EventOrderIdenticalAcrossThreadCounts) {
     EventSimulator sim(*porto_, config.sim, step);
     std::vector<SimEvent> trace;
     sim.set_event_trace(&trace);
-    for (double now = start; now <= end;
-         now += config.sim.batch_window_min) {
-      sim.ScheduleAssignTrigger(now);
-    }
+    sim.ScheduleBatchTriggers();
     SimMetrics metrics = sim.Run(AssignMethod::kKm, predictors);
     if (threads == 1) {
       reference = trace;

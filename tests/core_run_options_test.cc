@@ -3,7 +3,9 @@
 // name round-trips every entry point leans on.
 #include "core/run_options.h"
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,6 +68,37 @@ TEST(RunOptionsValidateTest, RejectsOutOfRangeFields) {
     o.sim.ggpso.crossover_rate = 1.5;
     EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
   }
+  // Non-finite values: NaN slips past every `<` range check and +inf past
+  // every `> 0` one, so each floating-point field is checked for
+  // finiteness by name.
+  const auto float_fields = [](core::RunOptions& o) {
+    return std::vector<std::pair<double*, std::string>>{
+        {&o.sim.batch_window_min, "sim.batch_window_min"},
+        {&o.sim.sample_period_min, "sim.sample_period_min"},
+        {&o.sim.match_radius_km, "sim.match_radius_km"},
+        {&o.sim.service_time_min, "sim.service_time_min"},
+        {&o.sim.ppi.match_radius_km, "sim.ppi.match_radius_km"},
+        {&o.sim.ppi.weight_floor_km, "sim.ppi.weight_floor_km"},
+        {&o.sim.ggpso.crossover_rate, "sim.ggpso.crossover_rate"},
+        {&o.sim.ggpso.mutation_rate, "sim.ggpso.mutation_rate"},
+        {&o.sim.ggpso.cost_weight, "sim.ggpso.cost_weight"},
+        {&o.sim.ggpso.match_radius_km, "sim.ggpso.match_radius_km"},
+    };
+  };
+  core::RunOptions probe;
+  const size_t num_fields = float_fields(probe).size();
+  for (size_t i = 0; i < num_fields; ++i) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+      core::RunOptions o;
+      const auto [field, name] = float_fields(o)[i];
+      *field = bad;
+      Status s = o.Validate();
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << name << " = " << bad;
+      EXPECT_NE(s.message().find(name), std::string::npos) << s.message();
+    }
+  }
 }
 
 TEST(RunOptionsValidateTest, RejectsDuplicateMethods) {
@@ -102,17 +135,6 @@ TEST(ParseRunFlagsTest, ParsesEveryFlag) {
   EXPECT_EQ(options.sinks.bench_json_dir, "/tmp/out");
   EXPECT_EQ(options.sinks.trace_path, "t.json");
   EXPECT_EQ(options.sinks.metrics_path, "m.json");
-}
-
-TEST(ParseRunFlagsTest, ParsesForecastPath) {
-  core::RunOptions options;
-  ASSERT_TRUE(Parse({"--forecast=scalar"}, &options).ok());
-  EXPECT_EQ(options.sim.forecast_mode, core::ForecastMode::kScalar);
-  ASSERT_TRUE(Parse({"--forecast=batched"}, &options).ok());
-  EXPECT_EQ(options.sim.forecast_mode, core::ForecastMode::kBatched);
-  Status bad = Parse({"--forecast=vectorized"}, &options);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("--forecast"), std::string::npos);
 }
 
 TEST(ParseRunFlagsTest, LeavesCallerDefaultsAlone) {
@@ -196,63 +218,27 @@ TEST(ModeEnumTest, CandidateModeRoundTripsThroughFlag) {
   EXPECT_NE(bad.message().find("--candidates"), std::string::npos);
 }
 
-TEST(ModeEnumTest, ForecastModeRoundTripsThroughFlag) {
-  for (core::ForecastMode mode : core::AllForecastModes()) {
-    const std::string name(core::ForecastModeName(mode));
-    core::RunOptions options;
-    ASSERT_TRUE(Parse({"--forecast=" + name}, &options).ok()) << name;
-    EXPECT_EQ(options.sim.forecast_mode, mode) << name;
-    StatusOr<core::ForecastMode> parsed = core::ParseForecastMode(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, mode) << name;
-  }
-}
-
-TEST(ModeEnumTest, SimEngineRoundTripsThroughFlag) {
-  for (core::SimEngine engine : core::AllSimEngines()) {
-    const std::string name(core::SimEngineName(engine));
-    core::RunOptions options;
-    ASSERT_TRUE(Parse({"--engine=" + name}, &options).ok()) << name;
-    EXPECT_EQ(options.sim.engine, engine) << name;
-    StatusOr<core::SimEngine> parsed = core::ParseSimEngine(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, engine) << name;
-  }
-  core::RunOptions options;
-  Status bad = Parse({"--engine=quantum"}, &options);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("--engine"), std::string::npos);
-}
-
-TEST(ModeEnumTest, ShardModeRoundTripsThroughFlag) {
-  for (core::ShardMode mode : core::AllShardModes()) {
-    const std::string name(core::ShardModeName(mode));
-    core::RunOptions options;
-    ASSERT_TRUE(Parse({"--sharding=" + name}, &options).ok()) << name;
-    EXPECT_EQ(options.sim.shard_mode, mode) << name;
-    StatusOr<core::ShardMode> parsed = core::ParseShardMode(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, mode) << name;
-  }
-  core::RunOptions defaults;
-  EXPECT_EQ(defaults.sim.shard_mode, core::ShardMode::kOff);
-  Status bad = Parse({"--sharding=hexagons"}, &defaults);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("--sharding"), std::string::npos);
-  EXPECT_NE(bad.message().find("components"), std::string::npos);
-}
-
 TEST(ModeEnumTest, ParseIsCaseInsensitive) {
   StatusOr<core::CandidateMode> candidates =
       core::ParseCandidateMode("Incremental");
   ASSERT_TRUE(candidates.ok());
   EXPECT_EQ(*candidates, core::CandidateMode::kIncremental);
-  StatusOr<core::SimEngine> engine = core::ParseSimEngine("EVENT");
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(*engine, core::SimEngine::kEvent);
-  StatusOr<core::ShardMode> shard = core::ParseShardMode("Components");
-  ASSERT_TRUE(shard.ok());
-  EXPECT_EQ(*shard, core::ShardMode::kComponents);
+}
+
+TEST(ModeEnumTest, RetiredModesAreRejected) {
+  // The dense candidate sweep, the scalar forecast, the batch-replay
+  // engine and the global solve are test oracles, not run modes.
+  core::RunOptions options;
+  Status dense = Parse({"--candidates=dense"}, &options);
+  EXPECT_EQ(dense.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(dense.message().find("indexed, incremental"), std::string::npos)
+      << dense.message();
+  for (const char* flag :
+       {"--forecast=scalar", "--engine=batch", "--sharding=off"}) {
+    Status s = Parse({flag}, &options);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << flag;
+    EXPECT_NE(s.message().find("unknown flag"), std::string::npos) << flag;
+  }
 }
 
 TEST(WorkloadSpecTest, RoundTripsThroughFlag) {
@@ -281,27 +267,6 @@ TEST(WorkloadSpecTest, BareDatasetMeansBaselineAndDatasetOnlySetsKind) {
   Status bad = Parse({"--workload=porto_monsoon"}, &options);
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad.message().find("--workload"), std::string::npos);
-}
-
-TEST(DeprecatedModeSettersTest, MapOntoTheEnums) {
-  // One release of compatibility: the old boolean switches must keep
-  // steering the typed enums until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  core::SimulatorConfig config;
-  config.set_use_spatial_index(false);
-  EXPECT_EQ(config.candidate_mode, core::CandidateMode::kDense);
-  config.set_use_spatial_index(true);
-  EXPECT_EQ(config.candidate_mode, core::CandidateMode::kIndexed);
-  config.set_use_incremental(true);
-  EXPECT_EQ(config.candidate_mode, core::CandidateMode::kIncremental);
-  config.set_use_incremental(false);
-  EXPECT_EQ(config.candidate_mode, core::CandidateMode::kIndexed);
-  config.set_use_batched_forecast(false);
-  EXPECT_EQ(config.forecast_mode, core::ForecastMode::kScalar);
-  config.set_use_batched_forecast(true);
-  EXPECT_EQ(config.forecast_mode, core::ForecastMode::kBatched);
-#pragma GCC diagnostic pop
 }
 
 TEST(EffectiveMethodsTest, EmptyMeansAll) {

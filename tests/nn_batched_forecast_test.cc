@@ -1,21 +1,21 @@
 // Bit-identity contract of the batched SoA forecast engine
-// (nn::BatchedSeq2Seq) against the scalar per-worker reference: raw
-// PredictBatch vs Predict, the fleet rollout, scratch shrink-then-grow
-// reuse, the trainer's batched Evaluate, the full simulator plan, and the
-// thread-invariant work counters. Every comparison is EXPECT_EQ on
-// doubles — exact, not approximate.
+// (nn::BatchedSeq2Seq), the simulator's and the trainer's only forecast
+// path, against its scalar oracle (EncoderDecoder::Predict and the
+// per-worker core::RolloutPredict): raw PredictBatch vs Predict, the fleet
+// rollout the simulator runs, scratch shrink-then-grow reuse, the
+// trainer's Evaluate, and the thread-invariant work counters. Every
+// comparison is EXPECT_EQ on doubles — exact, not approximate.
 #include "nn/batched_seq2seq.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/obs/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "core/pipeline.h"
 #include "core/rollout.h"
-#include "data/workload.h"
 #include "meta/trainer.h"
 #include "nn/encoder_decoder.h"
 
@@ -209,7 +209,7 @@ TEST(BatchedSeq2SeqTest, PredictScratchShrinkThenGrowParity) {
   }
 }
 
-TEST(BatchedSeq2SeqTest, TrainerEvaluateBatchedMatchesScalar) {
+TEST(BatchedSeq2SeqTest, TrainerEvaluateMatchesScalarOracle) {
   meta::TrainerConfig config;
   config.model.hidden_dim = 6;
   tamp::Rng rng(43);
@@ -236,29 +236,54 @@ TEST(BatchedSeq2SeqTest, TrainerEvaluateBatchedMatchesScalar) {
     tasks.push_back(std::move(task));
   }
 
+  // The oracle: every sample through the scalar Predict, summed in
+  // Evaluate's order (samples, then steps, per worker; workers in order).
   geo::GridSpec grid(20.0, 10.0, 50, 100);
+  const double radius_km = 2.0;
+  std::vector<meta::PredictionMetrics> oracle(tasks.size());
+  double se_sum = 0.0, ae_sum = 0.0;
+  int matched_total = 0, points_total = 0;
+  for (size_t w = 0; w < tasks.size(); ++w) {
+    double se = 0.0, ae = 0.0;
+    int matched = 0, points = 0;
+    for (const meta::TrainingSample& sample : tasks[w].eval) {
+      const Sequence pred =
+          model.Predict(models.worker_params[w], sample.input);
+      for (size_t t = 0; t < pred.size(); ++t) {
+        const double d = geo::Distance(
+            grid.Denormalize({pred[t][0], pred[t][1]}),
+            grid.Denormalize({sample.target[t][0], sample.target[t][1]}));
+        se += d * d;
+        ae += d;
+        if (d <= radius_km) ++matched;
+        ++points;
+      }
+    }
+    oracle[w].num_points = points;
+    oracle[w].rmse_km = std::sqrt(se / points);
+    oracle[w].mae_km = ae / points;
+    oracle[w].matching_rate = static_cast<double>(matched) / points;
+    se_sum += se;
+    ae_sum += ae;
+    matched_total += matched;
+    points_total += points;
+  }
+
   for (int threads : {1, 4}) {
     ThreadCountGuard guard(threads);
-    meta::TrainerConfig batched_config = config;
-    batched_config.batched_eval = true;
-    meta::TrainerConfig scalar_config = config;
-    scalar_config.batched_eval = false;
-    meta::EvalResult batched =
-        meta::MobilityTrainer(batched_config).Evaluate(models, tasks, grid,
-                                                       2.0);
-    meta::EvalResult scalar =
-        meta::MobilityTrainer(scalar_config).Evaluate(models, tasks, grid,
-                                                      2.0);
-    EXPECT_EQ(batched.aggregate.rmse_km, scalar.aggregate.rmse_km);
-    EXPECT_EQ(batched.aggregate.mae_km, scalar.aggregate.mae_km);
-    EXPECT_EQ(batched.aggregate.matching_rate, scalar.aggregate.matching_rate);
-    EXPECT_EQ(batched.aggregate.num_points, scalar.aggregate.num_points);
-    ASSERT_EQ(batched.per_worker.size(), scalar.per_worker.size());
-    for (size_t w = 0; w < scalar.per_worker.size(); ++w) {
-      EXPECT_EQ(batched.per_worker[w].rmse_km, scalar.per_worker[w].rmse_km);
-      EXPECT_EQ(batched.per_worker[w].mae_km, scalar.per_worker[w].mae_km);
-      EXPECT_EQ(batched.per_worker[w].matching_rate,
-                scalar.per_worker[w].matching_rate);
+    meta::EvalResult result =
+        meta::MobilityTrainer(config).Evaluate(models, tasks, grid, radius_km);
+    EXPECT_EQ(result.aggregate.rmse_km, std::sqrt(se_sum / points_total));
+    EXPECT_EQ(result.aggregate.mae_km, ae_sum / points_total);
+    EXPECT_EQ(result.aggregate.matching_rate,
+              static_cast<double>(matched_total) / points_total);
+    EXPECT_EQ(result.aggregate.num_points, points_total);
+    ASSERT_EQ(result.per_worker.size(), oracle.size());
+    for (size_t w = 0; w < oracle.size(); ++w) {
+      EXPECT_EQ(result.per_worker[w].num_points, oracle[w].num_points);
+      EXPECT_EQ(result.per_worker[w].rmse_km, oracle[w].rmse_km);
+      EXPECT_EQ(result.per_worker[w].mae_km, oracle[w].mae_km);
+      EXPECT_EQ(result.per_worker[w].matching_rate, oracle[w].matching_rate);
     }
   }
 }
@@ -323,51 +348,6 @@ TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
   EXPECT_EQ(cell_delta[0], cell_delta[1]);
   EXPECT_EQ(gemm_delta[0], gemm_delta[1]);
   EXPECT_EQ(rows_delta[0], rows_delta[1]);
-}
-
-/// End to end: the full simulator plan — every SimMetrics field, including
-/// the accumulated float cost — is identical under --forecast=batched and
-/// --forecast=scalar, at 1 and 4 threads.
-TEST(BatchedSeq2SeqTest, SimulatorPlanParityScalarVsBatched) {
-  data::WorkloadConfig workload_config;
-  workload_config.num_workers = 12;
-  workload_config.num_train_days = 2;
-  workload_config.num_tasks = 60;
-  workload_config.num_historical_tasks = 300;
-  workload_config.seed = 33;
-  data::Workload workload = data::GenerateWorkload(workload_config);
-
-  core::PipelineConfig pipeline_config;
-  pipeline_config.trainer.model.hidden_dim = 6;
-  pipeline_config.trainer.meta.iterations = 3;
-  pipeline_config.trainer.fine_tune_steps = 3;
-  pipeline_config.trainer.projection_dim = 8;
-  pipeline_config.trainer.tree.game.k = 2;
-  pipeline_config.sim.prediction_horizon_steps = 4;
-
-  core::PipelineConfig batched_config = pipeline_config;
-  batched_config.sim.forecast_mode = core::ForecastMode::kBatched;
-  core::PipelineConfig scalar_config = pipeline_config;
-  scalar_config.sim.forecast_mode = core::ForecastMode::kScalar;
-  core::TampPipeline batched_pipeline(batched_config);
-  core::TampPipeline scalar_pipeline(scalar_config);
-  core::OfflineResult offline = batched_pipeline.TrainOffline(workload);
-
-  for (int threads : {1, 4}) {
-    ThreadCountGuard guard(threads);
-    for (core::AssignMethod method :
-         {core::AssignMethod::kKm, core::AssignMethod::kPpi}) {
-      core::SimMetrics batched =
-          batched_pipeline.RunOnline(workload, offline, method);
-      core::SimMetrics scalar =
-          scalar_pipeline.RunOnline(workload, offline, method);
-      EXPECT_EQ(batched.total_tasks, scalar.total_tasks);
-      EXPECT_EQ(batched.assignments, scalar.assignments);
-      EXPECT_EQ(batched.accepted, scalar.accepted);
-      EXPECT_EQ(batched.completed, scalar.completed);
-      EXPECT_EQ(batched.total_cost_km, scalar.total_cost_km);
-    }
-  }
 }
 
 }  // namespace

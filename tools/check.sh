@@ -2,12 +2,15 @@
 # One-command pre-merge gate for the TAMP repo.
 #
 #   tools/check.sh                 Release build + ctest, the bench metrics
-#                                  gate (micro benches vs bench/baselines/),
-#                                  clang-tidy (when installed), ASan+UBSan
-#                                  build + ctest, a TSan build + ctest over
-#                                  the concurrency tests at TAMP_THREADS=4,
-#                                  and the tamp_analyze static-analysis
-#                                  gate. Exits nonzero on the first failure.
+#                                  gate (micro benches vs bench/baselines/,
+#                                  plus a fresh 1- vs 4-thread table run),
+#                                  the repository benchmark's build + ctest
+#                                  (bench/e2e), clang-tidy (when
+#                                  installed), ASan+UBSan build + ctest, a
+#                                  TSan build + ctest over the concurrency
+#                                  tests at TAMP_THREADS=4, and the
+#                                  tamp_analyze static-analysis gate. Exits
+#                                  nonzero on the first failure.
 #   tools/check.sh --analyze-only  Only the analyze gate (and its
 #                                  self-tests). --lint-only is a legacy
 #                                  alias.
@@ -98,8 +101,8 @@ tsan_stage() {
 # work-count metrics against the committed bench/baselines/ copy. Timing
 # ("stages", "_s" keys, "threads") is advisory in tamp_bench_compare, so
 # this is machine-independent; min_time stays tiny because only the counts
-# are gated. The committed 1- vs 4-thread table JSONs are cross-compared
-# too, pinning the bit-identical-across-threads contract.
+# are gated. A Table IV run at 1 and at 4 threads is cross-compared too,
+# pinning the bit-identical-across-threads contract on current code.
 bench_gate_stage() {
   local dir="$REPO_ROOT/build-check-release"
   local compare="$dir/tools/tamp_bench_compare"
@@ -132,10 +135,35 @@ bench_gate_stage() {
   run_stage "bench-gate-scale" "$compare" \
             "$baselines/BENCH_scale.json" \
             "$dir/BENCH_scale.json" || return 1
+  # Thread invariance: the table cells and the obs work counts (including
+  # the nn.* forecast counters) of a fresh run must not depend on the
+  # thread count.
+  local threads
+  for threads in 1 4; do
+    mkdir -p "$dir/threads$threads"
+    run_stage "bench-run-table4-threads$threads" \
+              "$dir/bench/bench_table4_cluster_ablation" \
+              --threads="$threads" --json-dir="$dir/threads$threads" \
+              || return 1
+  done
   run_stage "bench-gate-threads-invariance" "$compare" \
-            "$baselines/BENCH_table4_cluster_ablation.threads1.json" \
-            "$baselines/BENCH_table4_cluster_ablation.threads4.json" \
+            "$dir/threads1/BENCH_table4_cluster_ablation.json" \
+            "$dir/threads4/BENCH_table4_cluster_ablation.json" \
             || return 1
+}
+
+# The repository benchmark (bench/e2e/) is a CMake project of its own that
+# calls into src/ directly, so the release build above does not compile
+# it. Building it here makes a src/ change that breaks its calls fail
+# before merge; its ctest (bench_e2e_manifest) checks the metric list
+# against BENCHMARK.json without running a workload.
+e2e_stage() {
+  local dir="$REPO_ROOT/build-check-e2e"
+  run_stage "e2e-configure" cmake -B "$dir" -S "$REPO_ROOT/bench/e2e" \
+            -DCMAKE_BUILD_TYPE=Release || return 1
+  run_stage "e2e-build" cmake --build "$dir" -j "$JOBS" || return 1
+  run_stage "e2e-ctest" ctest --test-dir "$dir" --output-on-failure \
+            --no-tests=error || return 1
 }
 
 clang_tidy_stage() {
@@ -168,6 +196,7 @@ else
     -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
   bench_gate_stage
+  e2e_stage
   clang_tidy_stage
   full_build_stage "asan-ubsan" "$REPO_ROOT/build-check-asan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
