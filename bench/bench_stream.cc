@@ -41,7 +41,7 @@ StreamResult RunSpec(const data::WorkloadSpec& spec,
   nn::Seq2SeqConfig model_config;
   model_config.input_dim = data::kSampleInputDim;
   nn::EncoderDecoder model(model_config);  // LB never consults it.
-  core::BatchAssignStep step(workload, model, options.sim, nullptr);
+  core::BatchAssignStep step(workload, model, options.sim);
   core::EventSimulator sim(workload, options.sim, step);
   sim.ScheduleBatchTriggers();
   std::vector<core::WorkerPredictor> predictors(workload.workers.size());

@@ -43,22 +43,22 @@ struct TaskCandidate {
 };
 
 /// Work accounting for one candidate-table build (also mirrored into the
-/// obs registry as assign.candidate_evals / assign.candidates_pruned /
-/// assign.candidate_cache_hits). evaluated + pruned + cache_hits always
-/// equals the dense T x W pair count of the call(s) accumulated.
+/// obs registry as assign.candidate_evals / assign.candidates_pruned).
+/// evaluated + pruned always equals the dense T x W pair count of the
+/// call(s) accumulated.
 struct CandidateGenStats {
-  int64_t evaluated = 0;   // EvaluateCandidate invocations.
-  int64_t pruned = 0;      // Dense pairs skipped via the spatial index.
-  int64_t cache_hits = 0;  // Rows reused from the incremental engine's
-                           // cache (always 0 for GenerateCandidates).
+  int64_t evaluated = 0;  // EvaluateCandidate invocations.
+  int64_t pruned = 0;     // Dense pairs skipped via the spatial index.
 };
 
 /// Builds the batch candidate table: for every task, the ascending-worker
 /// list of pairs whose EvaluateCandidate outcome matters (non-empty B or
-/// stage-3 feasible). With `index` non-null only workers surviving the
-/// Theorem-2 radius prune are evaluated; with nullptr every T x W pair is.
-/// Both paths produce the identical table — the prune only skips pairs
-/// whose evaluation is provably empty/infeasible (see CandidateIndex).
+/// stage-3 feasible). Every assigner calls it with a per-batch `index`, so
+/// only workers surviving the Theorem-2 radius prune are evaluated. With
+/// nullptr every T x W pair is evaluated: that dense sweep is the test
+/// oracle, not a run mode. Both produce the identical table — the prune
+/// only skips pairs whose evaluation is provably empty/infeasible (see
+/// CandidateIndex).
 ///
 /// Tasks fan out over the deterministic parallel runtime with slot-indexed
 /// writes, so the table is bit-identical at any thread count.

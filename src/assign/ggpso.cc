@@ -6,7 +6,6 @@
 
 #include "assign/candidate_index.h"
 #include "assign/candidates.h"
-#include "assign/incremental.h"
 #include "common/check.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
@@ -32,27 +31,19 @@ using FeasibilityTable = std::vector<std::vector<FeasibleEdge>>;
 
 FeasibilityTable BuildTable(const std::vector<SpatialTask>& tasks,
                             const std::vector<CandidateWorker>& workers,
-                            double match_radius_km, double now_min,
-                            IncrementalCandidateEngine* engine) {
+                            double match_radius_km, double now_min) {
   static obs::Histogram& build_hist =
       obs::MetricsRegistry::Global().GetHistogram(
           "assign.index_build_s", obs::DurationEdgesSeconds());
-  std::vector<std::vector<TaskCandidate>> candidates;
-  if (engine != nullptr) {
+  std::optional<CandidateIndex> index;
+  {
     obs::TraceSpan build_span("ggpso.index_build");
-    candidates =
-        engine->BuildTable(tasks, workers, match_radius_km, now_min);
-  } else {
-    std::optional<CandidateIndex> index;
-    {
-      obs::TraceSpan build_span("ggpso.index_build");
-      Stopwatch build_watch;
-      index.emplace(workers);
-      build_hist.Record(build_watch.ElapsedSeconds());
-    }
-    candidates = GenerateCandidates(tasks, workers, match_radius_km, now_min,
-                                    &*index);
+    Stopwatch build_watch;
+    index.emplace(workers);
+    build_hist.Record(build_watch.ElapsedSeconds());
   }
+  const std::vector<std::vector<TaskCandidate>> candidates =
+      GenerateCandidates(tasks, workers, match_radius_km, now_min, &*index);
   FeasibilityTable table(tasks.size());
   for (size_t t = 0; t < candidates.size(); ++t) {
     for (const TaskCandidate& tc : candidates[t]) {
@@ -149,8 +140,7 @@ void Mutate(Individual& ind, const FeasibilityTable& table, int num_workers,
 
 AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
                            const std::vector<CandidateWorker>& workers,
-                           double now_min, const GgpsoConfig& config,
-                           IncrementalCandidateEngine* engine) {
+                           double now_min, const GgpsoConfig& config) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& solves_counter = registry.GetCounter("ggpso.solves");
   static obs::Counter& generations_counter =
@@ -168,7 +158,7 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
   obs::TraceSpan solve_span("ggpso.solve");
 
   FeasibilityTable table =
-      BuildTable(tasks, workers, config.match_radius_km, now_min, engine);
+      BuildTable(tasks, workers, config.match_radius_km, now_min);
   Rng rng(config.seed);
   const int num_workers = static_cast<int>(workers.size());
 

@@ -5,8 +5,6 @@
 
 namespace tamp::assign {
 
-class IncrementalCandidateEngine;
-
 /// Parameters of the GGPSO baseline.
 struct GgpsoConfig {
   int population = 24;
@@ -25,14 +23,12 @@ struct GgpsoConfig {
 /// iteratively improves a population of assignment plans through
 /// crossover with the global best, mutation, and tournament selection.
 /// Feasibility uses the same predicted-trajectory test as PPI's stage 3,
-/// over candidates from the per-batch spatial index (CandidateIndex) or
-/// from `engine` when one is given (--candidates=incremental; the table is
-/// bit-identical). The GA runs over the whole batch: its population evolves
-/// through one sequential RNG stream spanning all tasks, so unlike KM and
-/// PPI it is not split per connected component.
+/// over candidates from the per-batch spatial index (CandidateIndex). The
+/// GA runs over the whole batch: its population evolves through one
+/// sequential RNG stream spanning all tasks, so unlike KM and PPI it is
+/// not split per connected component.
 AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
                            const std::vector<CandidateWorker>& workers,
-                           double now_min, const GgpsoConfig& config,
-                           IncrementalCandidateEngine* engine = nullptr);
+                           double now_min, const GgpsoConfig& config);
 
 }  // namespace tamp::assign

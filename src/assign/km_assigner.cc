@@ -4,7 +4,6 @@
 
 #include "assign/candidate_index.h"
 #include "assign/candidates.h"
-#include "assign/incremental.h"
 #include "assign/sharding.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
@@ -17,8 +16,7 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
                         const std::vector<CandidateWorker>& workers,
                         double now_min, double match_radius_km,
                         double weight_floor_km, bool use_spatial_index,
-                        IncrementalCandidateEngine* engine,
-                        bool shard_components) {
+                        std::nullptr_t, bool shard_components) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& solves_counter = registry.GetCounter("km.solves");
   static obs::Counter& edges_counter = registry.GetCounter("km.edges");
@@ -31,12 +29,7 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
   if (tasks.empty() || workers.empty()) return plan;
 
   std::vector<std::vector<TaskCandidate>> table;
-  if (engine != nullptr) {
-    // Incremental path: the engine's delta-updated index + row cache stand
-    // in for the per-batch CandidateIndex; tables are bit-identical.
-    obs::TraceSpan build_span("km.index_build");
-    table = engine->BuildTable(tasks, workers, match_radius_km, now_min);
-  } else {
+  {  // The index is freed before the solve.
     std::optional<CandidateIndex> index;
     if (use_spatial_index) {
       obs::TraceSpan build_span("km.index_build");

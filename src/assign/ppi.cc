@@ -8,7 +8,6 @@
 
 #include "assign/candidate_index.h"
 #include "assign/candidates.h"
-#include "assign/incremental.h"
 #include "assign/sharding.h"
 #include "common/check.h"
 #include "common/obs/metrics.h"
@@ -87,8 +86,7 @@ void MatchAndCommit(const std::vector<PpiCandidate>& edges, int num_tasks,
 
 AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
                          const std::vector<CandidateWorker>& workers,
-                         double now_min, const PpiConfig& config,
-                         IncrementalCandidateEngine* engine) {
+                         double now_min, const PpiConfig& config) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& calls_counter = registry.GetCounter("ppi.calls");
   static obs::Counter& certain_counter =
@@ -110,11 +108,7 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
   // Candidate table shared by stages 1 and 3: EvaluateCandidate is pure in
   // (task, worker, now), so one evaluation per pair serves both stages.
   std::vector<std::vector<TaskCandidate>> table;
-  if (engine != nullptr) {
-    obs::TraceSpan build_span("ppi.index_build");
-    table = engine->BuildTable(tasks, workers, config.match_radius_km,
-                               now_min);
-  } else {
+  {  // The index is freed before the stages run.
     std::optional<CandidateIndex> index;
     {
       obs::TraceSpan build_span("ppi.index_build");

@@ -4,8 +4,6 @@
 
 namespace tamp::assign {
 
-class IncrementalCandidateEngine;
-
 /// Parameters of the Prediction-Performance-Involved assignment algorithm.
 struct PpiConfig {
   /// Matching-rate radius a (Def. 7 / Theorem 2), km.
@@ -27,14 +25,12 @@ struct PpiConfig {
 /// per-stage KM calls use 1/minB (or 1/dis^min) as edge weights so shorter
 /// expected detours win.
 ///
-/// Candidates come from the per-batch spatial index (CandidateIndex), or
-/// from `engine` when one is given (--candidates=incremental); every
-/// stage's KM runs per connected component of the batch candidate table
-/// (ShardedMaxWeightMatching, DESIGN.md §4k). Stage edges are table rows,
-/// so they never cross components.
+/// Candidates come from the per-batch spatial index (CandidateIndex);
+/// every stage's KM runs per connected component of the batch candidate
+/// table (ShardedMaxWeightMatching, DESIGN.md §4k). Stage edges are table
+/// rows, so they never cross components.
 AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
                          const std::vector<CandidateWorker>& workers,
-                         double now_min, const PpiConfig& config,
-                         IncrementalCandidateEngine* engine = nullptr);
+                         double now_min, const PpiConfig& config);
 
 }  // namespace tamp::assign

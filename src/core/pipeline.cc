@@ -43,11 +43,7 @@ SimMetrics TampPipeline::RunOnline(const data::Workload& workload,
                                    AssignMethod method) {
   obs::TraceSpan span("pipeline.run_online");
   nn::EncoderDecoder model(config_.trainer.model);
-  if (config_.sim.candidate_mode == CandidateMode::kIncremental &&
-      candidate_engine_ == nullptr) {
-    candidate_engine_ = std::make_unique<assign::IncrementalCandidateEngine>();
-  }
-  BatchAssignStep step(workload, model, config_.sim, candidate_engine_.get());
+  BatchAssignStep step(workload, model, config_.sim);
   EventSimulator simulator(workload, config_.sim, step);
   simulator.ScheduleBatchTriggers();
 

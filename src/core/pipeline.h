@@ -1,9 +1,7 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "assign/incremental.h"
 #include "core/simulator.h"
 #include "core/ta_loss.h"
 #include "data/workload.h"
@@ -55,11 +53,6 @@ class TampPipeline {
 
  private:
   PipelineConfig config_;
-  /// Cross-batch (and cross-run) candidate engine consumed by RunOnline
-  /// when sim.candidate_mode is kIncremental; created lazily on the first
-  /// such run and kept for the pipeline's lifetime so later runs revisiting
-  /// the same batch instants hit its row cache.
-  std::unique_ptr<assign::IncrementalCandidateEngine> candidate_engine_;
 };
 
 }  // namespace tamp::core

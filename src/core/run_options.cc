@@ -1,9 +1,12 @@
 #include "core/run_options.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <set>
+#include <system_error>
 #include <utility>
 
 #include "common/obs/metrics.h"
@@ -30,15 +33,34 @@ Status CheckFraction(double v, const char* field) {
   return Status::InvalidArgument(std::string(field) + " must be in [0, 1]");
 }
 
-/// Parses a non-negative integer flag value; InvalidArgument on junk.
-Status ParseInt(const std::string& value, const std::string& flag,
-                long long* out) {
-  char* end = nullptr;
-  *out = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || *out < 0) {
+/// Parses a decimal flag value in [0, max]; InvalidArgument naming the
+/// flag on junk (signs and whitespace included) or on a value that does
+/// not fit, never a silent wrap or clamp.
+Status ParseUint(const std::string& value, const std::string& flag,
+                 uint64_t max, uint64_t* out) {
+  const char* last = value.data() + value.size();
+  uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), last, v);
+  if (ec == std::errc::invalid_argument || ptr != last) {
     return Status::InvalidArgument(flag + " expects a non-negative integer, "
                                    "got '" + value + "'");
   }
+  if (ec == std::errc::result_out_of_range || v > max) {
+    return Status::InvalidArgument(flag + " is out of range [0, " +
+                                   std::to_string(max) + "], got '" + value +
+                                   "'");
+  }
+  *out = v;
+  return Status::Ok();
+}
+
+/// ParseUint into an int destination.
+Status ParseIntFlag(const std::string& value, const std::string& flag,
+                    int* out) {
+  uint64_t v = 0;
+  TAMP_RETURN_IF_ERROR(
+      ParseUint(value, flag, std::numeric_limits<int>::max(), &v));
+  *out = static_cast<int>(v);
   return Status::Ok();
 }
 
@@ -113,21 +135,18 @@ std::string RunFlagsHelp() {
       "  --seed=N                 workload seed (0 = dataset default)\n"
       "  --threads=N              parallel runtime threads (0 = default)\n"
       "  --horizon=N              forecast horizon steps per worker\n"
-      "  --candidates=indexed|incremental  candidate generation: a\n"
-      "                           per-batch spatial index (default) or a\n"
-      "                           batch-to-batch delta index + row cache;\n"
-      "                           plans are bit-identical to the dense\n"
-      "                           sweep (oracle: assign_candidate_index_test)\n"
       "  --methods=A,B,...        assignment methods (UB,LB,KM,PPI,GGPSO;\n"
       "                           default all)\n"
       "  --json-dir=DIR           directory for the BENCH_<target>.json\n"
       "  --trace=PATH             write a Chrome trace_event timeline\n"
       "  --metrics=PATH           write a flat metrics-snapshot JSON\n"
       "  --help                   this text\n"
-      "The other online layers have one path each: the batched fleet\n"
-      "forecast (oracle: nn_batched_forecast_test), the event-queue\n"
-      "simulator (oracle: core_event_sim_test) and the per-component KM\n"
-      "solve (oracle: assign_sharding_test).\n";
+      "The online layers have one path each and no mode flags: candidate\n"
+      "pruning through a per-batch spatial index (oracle: the dense sweep\n"
+      "in assign_candidate_index_test), the batched fleet forecast\n"
+      "(oracle: nn_batched_forecast_test), the event-queue simulator\n"
+      "(oracle: core_event_sim_test) and the per-component KM solve\n"
+      "(oracle: assign_sharding_test).\n";
 }
 
 Status ParseRunFlags(int argc, char** argv, RunOptions* options) {
@@ -156,24 +175,14 @@ Status ParseRunFlags(int argc, char** argv, RunOptions* options) {
       }
       options->workload = *spec;
     } else if (flag == "--seed") {
-      long long v = 0;
-      TAMP_RETURN_IF_ERROR(ParseInt(value, flag, &v));
-      options->seed = static_cast<uint64_t>(v);
+      TAMP_RETURN_IF_ERROR(ParseUint(value, flag,
+                                     std::numeric_limits<uint64_t>::max(),
+                                     &options->seed));
     } else if (flag == "--threads") {
-      long long v = 0;
-      TAMP_RETURN_IF_ERROR(ParseInt(value, flag, &v));
-      options->threads = static_cast<int>(v);
+      TAMP_RETURN_IF_ERROR(ParseIntFlag(value, flag, &options->threads));
     } else if (flag == "--horizon") {
-      long long v = 0;
-      TAMP_RETURN_IF_ERROR(ParseInt(value, flag, &v));
-      options->sim.prediction_horizon_steps = static_cast<int>(v);
-    } else if (flag == "--candidates") {
-      StatusOr<CandidateMode> mode = ParseCandidateMode(value);
-      if (!mode.ok()) {
-        return Status::InvalidArgument(flag + ": " +
-                                       std::string(mode.status().message()));
-      }
-      options->sim.candidate_mode = *mode;
+      TAMP_RETURN_IF_ERROR(ParseIntFlag(
+          value, flag, &options->sim.prediction_horizon_steps));
     } else if (flag == "--methods") {
       options->methods.clear();
       std::size_t start = 0;

@@ -59,11 +59,14 @@ std::string RunFlagsHelp();
 /// Parses the shared command-line surface into `options` (which carries
 /// the caller's defaults): --dataset=porto|gowalla,
 /// --workload=porto|porto_surge|gowalla_churn|..., --seed=N, --threads=N,
-/// --horizon=N, --candidates=indexed|incremental, --methods=KM,PPI,...,
-/// --json-dir=DIR, --trace=PATH, --metrics=PATH, --help. The mode flags
-/// parse through the typed enums (ParseCandidateMode,
+/// --horizon=N, --methods=KM,PPI,..., --json-dir=DIR, --trace=PATH,
+/// --metrics=PATH, --help. No flag selects an algorithm path: each online
+/// layer has one (RunFlagsHelp() names their test oracles). The enum-valued
+/// flags parse through the typed enums (ParseAssignMethod,
 /// data::ParseWorkloadSpec) so flag strings and enum names cannot drift.
-/// Unknown flags and malformed values are InvalidArgument; --help is a
+/// Unknown flags and malformed values are InvalidArgument, including an
+/// integer that does not fit its field (--seed takes the full uint64_t
+/// range; --threads and --horizon take [0, INT_MAX]); --help is a
 /// kFailedPrecondition carrying RunFlagsHelp() so callers
 /// print-and-exit-0.
 Status ParseRunFlags(int argc, char** argv, RunOptions* options);

@@ -17,18 +17,6 @@
 
 namespace tamp::core {
 
-namespace {
-
-std::string LowerCopy(std::string_view name) {
-  std::string lower(name);
-  for (char& c : lower) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return lower;
-}
-
-}  // namespace
-
 std::string_view AssignMethodName(AssignMethod method) {
   switch (method) {
     case AssignMethod::kUpperBound:
@@ -70,37 +58,6 @@ StatusOr<AssignMethod> ParseAssignMethod(std::string_view name) {
                                  accepted + ")");
 }
 
-std::string_view CandidateModeName(CandidateMode mode) {
-  switch (mode) {
-    case CandidateMode::kIndexed:
-      return "indexed";
-    case CandidateMode::kIncremental:
-      return "incremental";
-  }
-  return "?";
-}
-
-const std::vector<CandidateMode>& AllCandidateModes() {
-  static const std::vector<CandidateMode> kAll = {CandidateMode::kIndexed,
-                                                  CandidateMode::kIncremental};
-  return kAll;
-}
-
-StatusOr<CandidateMode> ParseCandidateMode(std::string_view name) {
-  const std::string lower = LowerCopy(name);
-  for (CandidateMode mode : AllCandidateModes()) {
-    if (lower == CandidateModeName(mode)) return mode;
-  }
-  std::string accepted;
-  for (CandidateMode mode : AllCandidateModes()) {
-    if (!accepted.empty()) accepted += ", ";
-    accepted += CandidateModeName(mode);
-  }
-  return Status::InvalidArgument("unknown candidate mode '" +
-                                 std::string(name) + "' (accepted: " +
-                                 accepted + ")");
-}
-
 size_t PurgeExpiredTasks(std::deque<assign::SpatialTask>& pool,
                          double now_min) {
   // One linear pass; the old restart-from-begin scan-erase loop was
@@ -113,11 +70,8 @@ size_t PurgeExpiredTasks(std::deque<assign::SpatialTask>& pool,
 BatchAssignStep::BatchAssignStep(const data::Workload& workload,
                                  const nn::EncoderDecoder& model,
                                  const SimulatorConfig& config,
-                                 assign::IncrementalCandidateEngine* engine)
-    : workload_(workload),
-      config_(config),
-      engine_(engine),
-      batched_model_(model.config()) {
+                                 std::nullptr_t)
+    : workload_(workload), config_(config), batched_model_(model.config()) {
   // The observation window length matches the training seq_in: infer it
   // from the first learning task if available.
   if (!workload_.learning_tasks.empty() &&
@@ -234,20 +188,18 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
     case AssignMethod::kKm:
       plan = assign::KmAssign(batch_tasks, batch_workers, now,
                               config_.match_radius_km,
-                              /*weight_floor_km=*/1e-3,
-                              /*use_spatial_index=*/true, engine_);
+                              /*weight_floor_km=*/1e-3);
       break;
     case AssignMethod::kPpi: {
       assign::PpiConfig ppi = config_.ppi;
       ppi.match_radius_km = config_.match_radius_km;
-      plan = assign::PpiAssign(batch_tasks, batch_workers, now, ppi, engine_);
+      plan = assign::PpiAssign(batch_tasks, batch_workers, now, ppi);
       break;
     }
     case AssignMethod::kGgpso: {
       assign::GgpsoConfig ggpso = config_.ggpso;
       ggpso.match_radius_km = config_.match_radius_km;
-      plan = assign::GgpsoAssign(batch_tasks, batch_workers, now, ggpso,
-                                 engine_);
+      plan = assign::GgpsoAssign(batch_tasks, batch_workers, now, ggpso);
       break;
     }
   }

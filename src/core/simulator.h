@@ -14,10 +14,6 @@
 #include "nn/batched_seq2seq.h"
 #include "nn/encoder_decoder.h"
 
-namespace tamp::assign {
-class IncrementalCandidateEngine;
-}  // namespace tamp::assign
-
 namespace tamp::core {
 
 /// The compared assignment strategies of Section IV-A.
@@ -41,28 +37,6 @@ StatusOr<AssignMethod> ParseAssignMethod(std::string_view name);
 /// Every AssignMethod, in the fixed presentation order of the paper's
 /// figures (UB, LB, KM, PPI, GGPSO).
 const std::vector<AssignMethod>& AllAssignMethods();
-
-/// Where assigners get their (task, worker) candidate pairs. The single
-/// source of truth behind the --candidates flag: ParseRunFlags parses the
-/// flag with ParseCandidateMode and stores the enum here. Both modes'
-/// plans are bit-identical (DESIGN.md §4f/§4h); the dense T x W sweep is
-/// not a mode — assign::GenerateCandidates(..., nullptr) is the test
-/// oracle of both.
-enum class CandidateMode {
-  kIndexed,      // Per-batch spatial-index pruning (default).
-  kIncremental,  // Batch-to-batch delta index + row cache.
-};
-
-/// Canonical flag value ("indexed", "incremental"); static storage,
-/// round-trips through ParseCandidateMode.
-std::string_view CandidateModeName(CandidateMode mode);
-
-/// Inverse of CandidateModeName (case-insensitive); InvalidArgument for
-/// anything else, listing the accepted names.
-StatusOr<CandidateMode> ParseCandidateMode(std::string_view name);
-
-/// Every CandidateMode, in flag-help order (indexed, incremental).
-const std::vector<CandidateMode>& AllCandidateModes();
 
 /// Batch-based online-stage settings (Table III: 2-minute windows, 10-min
 /// time units).
@@ -88,12 +62,6 @@ struct SimulatorConfig {
   /// the ablation bench); when false — the paper's behaviour — a rejected
   /// task simply returns to the pool and may be re-proposed to anyone.
   bool remember_declines = false;
-  /// Candidate generation (--candidates): the per-batch spatial index
-  /// (default) or batch-to-batch incremental reuse, for which
-  /// TampPipeline::RunOnline hands BatchAssignStep its candidate engine.
-  /// Plans — and therefore every simulator metric — are bit-identical
-  /// across modes.
-  CandidateMode candidate_mode = CandidateMode::kIndexed;
   assign::PpiConfig ppi;
   assign::GgpsoConfig ggpso;
 };
@@ -142,8 +110,10 @@ struct WorkerPredictor {
 
 /// The per-batch machinery of the online stage: given the pending pool and
 /// the available worker indices at one instant, forecast the fleet's
-/// routines in one batched rollout, run the chosen assignment algorithm,
-/// and simulate the workers' accept/reject decisions against their real
+/// routines in one batched rollout, run the chosen assignment algorithm
+/// (KM, PPI and GGPSO each prune candidates through a fresh per-batch
+/// assign::CandidateIndex; nothing carries over between batches), and
+/// simulate the workers' accept/reject decisions against their real
 /// trajectories. EventSimulator calls it once per assignment trigger;
 /// owning it once per run keeps the fleet forecast scratch warm across
 /// batches. It is public so tests can drive the batch-synchronous
@@ -151,14 +121,11 @@ struct WorkerPredictor {
 /// step.
 class BatchAssignStep {
  public:
-  /// A non-null `engine` (--candidates=incremental) replaces the per-batch
-  /// CandidateIndex of every assigner; it may outlive the step — the
-  /// pipeline keeps one across runs so later runs revisiting the same
-  /// batch instants hit its row cache.
   BatchAssignStep(const data::Workload& workload,
                   const nn::EncoderDecoder& model,
                   const SimulatorConfig& config,
-                  assign::IncrementalCandidateEngine* engine);
+                  // Unused; bench/e2e (frozen) still passes nullptr.
+                  std::nullptr_t = nullptr);
 
   /// One accepted assignment: the workload worker index, the task, the
   /// real detour, and when the worker's service ends.
@@ -192,7 +159,6 @@ class BatchAssignStep {
  private:
   const data::Workload& workload_;
   const SimulatorConfig& config_;
-  assign::IncrementalCandidateEngine* engine_ = nullptr;  // Not owned.
   /// Observation window length (matches the training seq_in).
   int observe_steps_ = 5;
   /// Fleet-batched forecast engine + its cross-batch scratch (SoA windows,

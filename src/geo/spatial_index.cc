@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
-
 namespace tamp::geo {
 
 SpatialLabelIndex::SpatialLabelIndex(const std::vector<Entry>& entries,
@@ -35,7 +33,6 @@ SpatialLabelIndex::SpatialLabelIndex(const std::vector<Entry>& entries,
   cell_km_ = std::clamp(cell, 0.05, std::max(extent, 0.05));
   rows_ = static_cast<int>(height / cell_km_) + 1;
   cols_ = static_cast<int>(width / cell_km_) + 1;
-  has_grid_ = true;
   buckets_.resize(static_cast<size_t>(rows_) * static_cast<size_t>(cols_));
   for (const Entry& e : entries) {
     buckets_[BucketOf(e.loc)].push_back(e);
@@ -53,75 +50,12 @@ size_t SpatialLabelIndex::BucketOf(const Point& p) const {
          static_cast<size_t>(col);
 }
 
-bool SpatialLabelIndex::InGridFrame(const Point& p) const {
-  if (!has_grid_) return false;
-  // The frame is the footprint of the rows_ x cols_ cells, which covers the
-  // construction-time bounding box. BucketOf's clamp is geometrically sound
-  // only for points inside it; anything else must go to overflow, or the
-  // nearest-corner cell prune in Collect could skip a clamped-in entry.
-  return p.x >= min_.x && p.y >= min_.y &&
-         p.x <= min_.x + static_cast<double>(cols_) * cell_km_ &&
-         p.y <= min_.y + static_cast<double>(rows_) * cell_km_;
-}
-
-void SpatialLabelIndex::EnsureSlots() {
-  if (slots_built_) return;
-  slots_built_ = true;
-  slots_of_label_.clear();
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    for (const Entry& e : buckets_[b]) {
-      slots_of_label_[e.label].push_back(static_cast<uint32_t>(b));
-    }
-  }
-  for (const Entry& e : overflow_) {
-    slots_of_label_[e.label].push_back(kOverflowSlot);
-  }
-}
-
-void SpatialLabelIndex::Insert(const Entry& entry) {
-  EnsureSlots();
-  ++generation_;
-  ++num_entries_;
-  max_label_ = std::max(max_label_, entry.label);
-  if (entry.label < 0) labels_non_negative_ = false;
-  if (InGridFrame(entry.loc)) {
-    const uint32_t slot = static_cast<uint32_t>(BucketOf(entry.loc));
-    buckets_[slot].push_back(entry);
-    slots_of_label_[entry.label].push_back(slot);
-  } else {
-    overflow_.push_back(entry);
-    slots_of_label_[entry.label].push_back(kOverflowSlot);
-  }
-}
-
-size_t SpatialLabelIndex::RemoveLabel(int label) {
-  EnsureSlots();
-  auto it = slots_of_label_.find(label);
-  if (it == slots_of_label_.end()) return 0;
-  std::vector<uint32_t>& slots = it->second;
-  std::sort(slots.begin(), slots.end());
-  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-  size_t removed = 0;
-  for (uint32_t slot : slots) {
-    std::vector<Entry>& entries =
-        slot == kOverflowSlot ? overflow_ : buckets_[slot];
-    removed += std::erase_if(
-        entries, [label](const Entry& e) { return e.label == label; });
-  }
-  slots_of_label_.erase(it);
-  TAMP_DCHECK(removed <= num_entries_);
-  num_entries_ -= removed;
-  generation_ += removed;
-  return removed;
-}
-
-void SpatialLabelIndex::Collect(const Point& center, double max_radius_km,
-                                const double* radius_of_label,
-                                [[maybe_unused]] size_t num_labels,
-                                std::vector<int>& out,
-                                QueryScratch* scratch) const {
+void SpatialLabelIndex::CollectLabelsWithin(const Point& center,
+                                            double radius_km,
+                                            std::vector<int>& out,
+                                            QueryScratch* scratch) const {
   out.clear();
-  if (max_radius_km < 0.0 || num_entries_ == 0) return;
+  if (radius_km < 0.0 || num_entries_ == 0) return;
   if (scratch != nullptr && labels_non_negative_) {
     scratch->stamp.resize(static_cast<size_t>(max_label_) + 1, 0u);
     ++scratch->epoch;
@@ -132,27 +66,19 @@ void SpatialLabelIndex::Collect(const Point& center, double max_radius_km,
   } else {
     scratch = nullptr;
   }
-  // The capped path is an *exact* filter, not just a conservative one: a
-  // caller comparing Distance(p, c) <= bound (EvaluateCandidate's closed
-  // inequality) must get bitwise-identical accept/reject decisions here.
-  // Squared-space comparison is not that — near the boundary,
-  // d2 > fl(r*r) does not imply fl(sqrt(d2)) > r — so capped entries pay
-  // one sqrt and compare in distance space with the caller's own
-  // arithmetic. The cell-range prune below still works in squared space
-  // and is inflated to stay a superset of the sqrt-space ball.
-  const bool exact = radius_of_label != nullptr;
-  const double cell_radius =
-      exact ? max_radius_km * (1.0 + 1e-9) + 1e-12 : max_radius_km;
-  const double max_r2 = cell_radius * cell_radius;
+  // Membership is Distance(e.loc, center) <= radius_km, the closed
+  // inequality EvaluateCandidate compares; squared space alone is not
+  // that: at a rounded tie d2 can exceed fl(r*r) while fl(sqrt(d2)) == r.
+  // Two squared-space tests decide every entry off the band between them
+  // without a sqrt: fl(sqrt(fl(r*r))) == r, so d2 <= r2 is a hit, and the
+  // inflated `outer` radius (also the cell prune) lies far enough outside
+  // r that d2 > outer2 is a miss.
+  const double r2 = radius_km * radius_km;
+  const double outer = radius_km * (1.0 + 1e-9) + 1e-12;
+  const double outer2 = outer * outer;
   auto visit = [&](const Entry& e) {
-    // Closed ball: the Theorem-2 feasibility inequality is closed, so
-    // boundary points must survive the prune (class comment).
-    if (exact) {
-      TAMP_DCHECK(e.label >= 0 &&
-                  static_cast<size_t>(e.label) < num_labels);
-      const double r = radius_of_label[static_cast<size_t>(e.label)];
-      if (r < 0.0 || Distance(e.loc, center) > r) return;
-    } else if (DistanceSquared(e.loc, center) > max_r2) {
+    const double d2 = DistanceSquared(e.loc, center);
+    if (d2 > r2 && (d2 > outer2 || Distance(e.loc, center) > radius_km)) {
       return;
     }
     if (scratch != nullptr) {
@@ -162,60 +88,35 @@ void SpatialLabelIndex::Collect(const Point& center, double max_radius_km,
     }
     out.push_back(e.label);
   };
-  if (has_grid_) {
-    // Cell ranks of the query rectangle's corners; BucketOf clamps, so the
-    // range is valid even when the ball pokes outside the bounding box.
-    const int row_lo = std::clamp(
-        static_cast<int>((center.y - cell_radius - min_.y) / cell_km_), 0,
-        rows_ - 1);
-    const int row_hi = std::clamp(
-        static_cast<int>((center.y + cell_radius - min_.y) / cell_km_), 0,
-        rows_ - 1);
-    const int col_lo = std::clamp(
-        static_cast<int>((center.x - cell_radius - min_.x) / cell_km_), 0,
-        cols_ - 1);
-    const int col_hi = std::clamp(
-        static_cast<int>((center.x + cell_radius - min_.x) / cell_km_), 0,
-        cols_ - 1);
-    for (int row = row_lo; row <= row_hi; ++row) {
-      for (int col = col_lo; col <= col_hi; ++col) {
-        const std::vector<Entry>& bucket =
-            buckets_[static_cast<size_t>(row) * static_cast<size_t>(cols_) +
-                     static_cast<size_t>(col)];
-        if (bucket.empty()) continue;
-        // Skip cells whose nearest corner already exceeds the radius.
-        const double cx0 = min_.x + col * cell_km_, cx1 = cx0 + cell_km_;
-        const double cy0 = min_.y + row * cell_km_, cy1 = cy0 + cell_km_;
-        const double dx = std::max({cx0 - center.x, 0.0, center.x - cx1});
-        const double dy = std::max({cy0 - center.y, 0.0, center.y - cy1});
-        if (dx * dx + dy * dy > max_r2) continue;
-        for (const Entry& e : bucket) visit(e);
-      }
+  // Cell ranks of the query rectangle's corners, clamped like BucketOf, so
+  // the range is valid even when the ball pokes outside the bounding box.
+  const int row_lo = std::clamp(
+      static_cast<int>((center.y - outer - min_.y) / cell_km_), 0, rows_ - 1);
+  const int row_hi = std::clamp(
+      static_cast<int>((center.y + outer - min_.y) / cell_km_), 0, rows_ - 1);
+  const int col_lo = std::clamp(
+      static_cast<int>((center.x - outer - min_.x) / cell_km_), 0, cols_ - 1);
+  const int col_hi = std::clamp(
+      static_cast<int>((center.x + outer - min_.x) / cell_km_), 0, cols_ - 1);
+  for (int row = row_lo; row <= row_hi; ++row) {
+    for (int col = col_lo; col <= col_hi; ++col) {
+      const std::vector<Entry>& bucket =
+          buckets_[static_cast<size_t>(row) * static_cast<size_t>(cols_) +
+                   static_cast<size_t>(col)];
+      if (bucket.empty()) continue;
+      // Skip cells whose nearest corner already lies outside the ball.
+      const double cx0 = min_.x + col * cell_km_, cx1 = cx0 + cell_km_;
+      const double cy0 = min_.y + row * cell_km_, cy1 = cy0 + cell_km_;
+      const double dx = std::max({cx0 - center.x, 0.0, center.x - cx1});
+      const double dy = std::max({cy0 - center.y, 0.0, center.y - cy1});
+      if (dx * dx + dy * dy > outer2) continue;
+      for (const Entry& e : bucket) visit(e);
     }
   }
-  // Overflow entries live outside the grid frame and are never cell-pruned.
-  for (const Entry& e : overflow_) visit(e);
   std::sort(out.begin(), out.end());
   if (scratch == nullptr) {
     out.erase(std::unique(out.begin(), out.end()), out.end());
   }
-}
-
-void SpatialLabelIndex::CollectLabelsWithin(const Point& center,
-                                            double radius_km,
-                                            std::vector<int>& out,
-                                            QueryScratch* scratch) const {
-  Collect(center, radius_km, nullptr, 0, out, scratch);
-}
-
-void SpatialLabelIndex::CollectLabelsWithinCaps(
-    const Point& center, double max_radius_km,
-    const std::vector<double>& radius_of_label, std::vector<int>& out,
-    QueryScratch* scratch) const {
-  TAMP_CHECK_MSG(labels_non_negative_,
-                 "CollectLabelsWithinCaps requires non-negative labels");
-  Collect(center, max_radius_km, radius_of_label.data(),
-          radius_of_label.size(), out, scratch);
 }
 
 SpatialCountIndex::SpatialCountIndex(const GridSpec& spec,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/grid.h"
@@ -17,16 +16,10 @@ namespace tamp::geo {
 /// pruning (assign::CandidateIndex): the query must be *conservative*
 /// w.r.t. the closed inequality `dis + a <= bound`, so — unlike
 /// SpatialCountIndex below, whose counting semantics are strict — points
-/// exactly at the query radius are returned.
-///
-/// The index is also *delta-updatable* (Insert / RemoveLabel), which is
-/// what lets the incremental assignment engine keep one index alive across
-/// simulator batches instead of rebuilding it per batch. The grid frame
-/// (origin, cell size, rows x cols) is fixed at construction; points
-/// inserted outside the frame land in an overflow list that every query
-/// scans linearly, so delta updates never lose the conservative-superset
-/// guarantee, they only degrade toward a linear scan if the frame drifts
-/// far from the data.
+/// exactly at the query radius are returned. "dis" is Distance(), the
+/// same sqrt-space arithmetic EvaluateCandidate compares, so a point whose
+/// Distance rounds onto the radius is a hit even when its DistanceSquared
+/// lies an ulp above radius^2.
 class SpatialLabelIndex {
  public:
   struct Entry {
@@ -39,21 +32,16 @@ class SpatialLabelIndex {
   /// query"; bumping the epoch invalidates all stamps at once, so the
   /// vector is written, never cleared. One scratch per thread.
   ///
-  /// The epoch is 64-bit: long-lived scratches (the incremental engine
-  /// keeps thread_local scratches alive for a whole process) would wrap a
-  /// 32-bit epoch within reach of a long sweep, and on wrap a stale stamp
-  /// would alias the fresh epoch and silently drop hits. The wrap guard in
-  /// the query is kept anyway (the fields are public, so a caller can seed
-  /// an arbitrary epoch — the regression test does exactly that).
+  /// The epoch is 64-bit: the candidate generator keeps thread_local
+  /// scratches alive for a whole process, and a wrapped 32-bit epoch would
+  /// let a stale stamp alias the fresh epoch and silently drop hits. The
+  /// wrap guard in the query is kept anyway (the fields are public, so a
+  /// caller can seed an arbitrary epoch — the regression test does exactly
+  /// that).
   struct QueryScratch {
     std::vector<uint64_t> stamp;
     uint64_t epoch = 0;
   };
-
-  /// An empty index with no grid frame: every Insert goes to the overflow
-  /// list. Intended as the pre-first-build state of long-lived holders;
-  /// bulk-construct (and move-assign) once real entries exist.
-  SpatialLabelIndex() = default;
 
   /// Buckets `entries` into a uniform grid over their bounding box. With
   /// `target_cell_km <= 0` the cell size is derived so the grid holds
@@ -73,70 +61,19 @@ class SpatialLabelIndex {
                            std::vector<int>& out,
                            QueryScratch* scratch = nullptr) const;
 
-  /// Per-label-radius variant: entry of label l is a hit iff
-  /// Distance(entry.loc, center) <= radius_of_label[l] (closed ball).
-  /// `max_radius_km` must dominate every per-label radius — it bounds the
-  /// grid cells scanned, so an undersized value would wrongly prune.
-  /// Negative per-label radii collect nothing for that label. Requires
-  /// non-negative labels, each < radius_of_label.size().
-  ///
-  /// This is the exact Theorem-2 filter of the incremental engine: with
-  /// radius_of_label[w] = min(d_w/2, speed_w * (deadline - now)), a worker
-  /// is returned iff some platform-visible point lies within its *own*
-  /// feasibility bound, not the batch-max bound.
-  void CollectLabelsWithinCaps(const Point& center, double max_radius_km,
-                               const std::vector<double>& radius_of_label,
-                               std::vector<int>& out,
-                               QueryScratch* scratch = nullptr) const;
-
-  /// Adds one entry. Points outside the fixed grid frame (or inserted
-  /// before any frame exists) go to the overflow list. O(1) amortized.
-  void Insert(const Entry& entry);
-
-  /// Removes every entry carrying `label`; returns how many were removed.
-  /// The relative order of surviving entries in each bucket is preserved,
-  /// so the index state after a sequence of deltas is independent of the
-  /// order in which distinct labels were removed.
-  size_t RemoveLabel(int label);
-
-  /// Mutation counter: advances by one per entry inserted or removed
-  /// (generation() - generation_at_build == delta entry ops). The same
-  /// idiom as QueryScratch's epoch, lifted to index lifetime: callers that
-  /// cache derived state key it by generation to notice staleness.
-  uint64_t generation() const { return generation_; }
-
   size_t num_entries() const { return num_entries_; }
 
  private:
-  static constexpr uint32_t kOverflowSlot = 0xFFFFFFFFu;
-
   size_t BucketOf(const Point& p) const;
-  bool InGridFrame(const Point& p) const;
-  /// Builds slots_of_label_ from the current buckets on first mutation
-  /// (bulk construction skips it: per-batch throwaway indexes never pay
-  /// for removal bookkeeping they will not use).
-  void EnsureSlots();
-  /// Shared query core: `radius_of_label == nullptr` means the uniform
-  /// radius `max_radius_km` for every entry.
-  void Collect(const Point& center, double max_radius_km,
-               const double* radius_of_label, size_t num_labels,
-               std::vector<int>& out, QueryScratch* scratch) const;
 
   Point min_;           // Bounding-box corner; grid origin.
   double cell_km_ = 1.0;
   int rows_ = 1;
   int cols_ = 1;
-  bool has_grid_ = false;     // False until a non-empty bulk build.
   std::vector<std::vector<Entry>> buckets_;
-  std::vector<Entry> overflow_;  // Outside the grid frame; always scanned.
   size_t num_entries_ = 0;
-  int max_label_ = -1;        // Largest label ever seen; sizes stamps.
+  int max_label_ = -1;        // Largest label; sizes the dedup stamps.
   bool labels_non_negative_ = true;
-  uint64_t generation_ = 0;
-  /// label -> bucket slots that may hold its entries (kOverflowSlot for
-  /// the overflow list). May contain duplicates; RemoveLabel dedups.
-  std::unordered_map<int, std::vector<uint32_t>> slots_of_label_;
-  bool slots_built_ = false;
 };
 
 /// Uniform-grid point index supporting fast "count points within radius"

@@ -1,12 +1,15 @@
 #include "assign/candidate_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "assign/candidates.h"
+#include "assign/ggpso.h"
 #include "assign/km_assigner.h"
+#include "assign/ppi.h"
 #include "common/obs/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -164,14 +167,160 @@ TEST(CandidateIndexTest, ObsCountersIncrementExactlyOncePerBuild) {
 }
 
 TEST(CandidateIndexTest, ExpiredTaskPrunesEveryWorker) {
-  std::vector<CandidateWorker> workers = {
+  // The simulator purges deadline <= now before assignment, so a task
+  // expiring exactly on the batch tick must never be assigned: the index
+  // query, the dense and indexed tables and every plan must agree that it
+  // has no candidates, or an expire-then-assign on the same tick would be
+  // counted twice.
+  const std::vector<CandidateWorker> workers = {
       MakeWorker(0, {{{1.0, 1.0}, 10.0}}, {1.0, 1.0}, 4.0, 0.5, 0.5)};
+  const std::vector<SpatialTask> tasks = {
+      MakeTask(0, {1.0, 1.0}, /*deadline=*/5.0)};
+  const double now = 5.0;  // deadline == now: expired (Def. 1, strict <).
   CandidateIndex index(workers);
-  SpatialTask task = MakeTask(0, {1.0, 1.0}, /*deadline=*/5.0);
-  EXPECT_LT(index.PruneRadius(task, 0.5, /*now=*/5.0), 0.0);
+  EXPECT_LT(index.PruneRadius(tasks[0], 0.5, now), 0.0);
   std::vector<int> hits;
-  index.QueryWorkers(task.location, index.PruneRadius(task, 0.5, 5.0), hits);
+  index.QueryWorkers(tasks[0].location, index.PruneRadius(tasks[0], 0.5, now),
+                     hits);
   EXPECT_TRUE(hits.empty());
+  EXPECT_TRUE(GenerateCandidates(tasks, workers, 0.5, now, nullptr)[0].empty());
+  EXPECT_TRUE(GenerateCandidates(tasks, workers, 0.5, now, &index)[0].empty());
+  for (const AssignmentPlan& plan :
+       {KmAssign(tasks, workers, now, 0.5),
+        PpiAssign(tasks, workers, now, PpiConfig{}),
+        GgpsoAssign(tasks, workers, now, GgpsoConfig{})}) {
+    EXPECT_TRUE(plan.pairs.empty());
+  }
+}
+
+TEST(CandidateIndexTest, KmIndexedMatchesDenseAtRoundedTie) {
+  // The worker sits at (1, 2^-26) from the task: Distance is exactly 1.0,
+  // DistanceSquared is 1 + 2^-52. With a detour budget of 2 the Theorem-2
+  // bound is 1.0, so stage 3 accepts the pair; fl(1 + a) == 1 for both
+  // radii, so the prune radius is 1.0 too. The index must keep the worker.
+  const geo::Point tie{1.0, std::ldexp(1.0, -26)};
+  const std::vector<CandidateWorker> workers = {
+      MakeWorker(0, {{tie, 10.0}}, tie, /*detour_km=*/2.0, /*speed=*/1.0,
+                 0.5)};
+  const std::vector<SpatialTask> tasks = {
+      MakeTask(0, {0.0, 0.0}, /*deadline=*/60.0)};
+  for (double a : {0.0, 1e-20}) {
+    SCOPED_TRACE(::testing::Message() << "a = " << a);
+    AssignmentPlan dense = KmAssign(tasks, workers, /*now_min=*/0.0, a,
+                                    /*weight_floor_km=*/1e-3,
+                                    /*use_spatial_index=*/false);
+    AssignmentPlan indexed = KmAssign(tasks, workers, 0.0, a, 1e-3, true);
+    ASSERT_EQ(dense.pairs.size(), 1u);
+    ASSERT_EQ(indexed.pairs.size(), 1u);
+    EXPECT_EQ(indexed.pairs[0].worker_index, dense.pairs[0].worker_index);
+    EXPECT_EQ(indexed.pairs[0].expected_detour_km,
+              dense.pairs[0].expected_detour_km);
+  }
+}
+
+/// A coordinate on the 1/8 km grid, in [0, hi].
+double Dyadic(tamp::Rng& rng, int hi_eighths) {
+  return static_cast<double>(rng.UniformInt(0, hi_eighths)) / 8.0;
+}
+
+/// A point at a Theorem-2 boundary of `task` for a worker whose bound is
+/// `bound`: exactly at dis == bound, exactly at dis + a == bound, or at a
+/// rounded tie (bound, bound * 2^-26), where DistanceSquared lies above
+/// bound^2 while Distance rounds to bound. Axis-aligned offsets of dyadic
+/// values keep the first two exact. Returns false when the rounded tie
+/// does not exist for this bound (it needs a significand below ~1.22).
+bool BoundaryPoint(tamp::Rng& rng, const SpatialTask& task, double bound,
+                   double a, geo::Point* out) {
+  const double sx = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+  const double sy = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+  const geo::Point c = task.location;
+  switch (rng.UniformInt(0, 2)) {
+    case 0:
+      *out = rng.Bernoulli(0.5) ? geo::Point{c.x + sx * bound, c.y}
+                                : geo::Point{c.x, c.y + sy * bound};
+      return true;
+    case 1:
+      if (bound < a) return false;
+      *out = {c.x + sx * (bound - a), c.y};
+      return true;
+    default:
+      *out = {c.x + sx * bound, c.y + sy * std::ldexp(bound, -26)};
+      return geo::Distance(*out, c) == bound &&
+             geo::DistanceSquared(*out, c) > bound * bound;
+  }
+}
+
+TEST(CandidateIndexTest, FuzzTheoremTwoPruneAtExactBoundaries) {
+  // Seeded fuzz of the prune on a dyadic grid: coordinates, budgets,
+  // speeds and deadlines are multiples of 1/8, so boundary distances are
+  // exact and ties land exactly on the closed inequalities. Half the
+  // batches give every worker the same budget and speed, so each worker's
+  // bound is the batch bound and a tie lands exactly on PruneRadius. The
+  // indexed table must equal the dense oracle row for row, and the work
+  // accounting must cover every dense pair.
+  tamp::Rng rng(20260417);
+  int rounded_ties = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const bool shared_bound = trial % 2 == 0;
+    const double now = Dyadic(rng, 80);
+    std::vector<SpatialTask> tasks;
+    for (int i = 0; i < 12; ++i) {
+      // Some tasks expire on the tick or before it.
+      tasks.push_back(MakeTask(
+          i, {Dyadic(rng, 200), Dyadic(rng, 96)},
+          now + static_cast<double>(rng.UniformInt(-4, 160)) / 8.0));
+    }
+    const double shared_detour = Dyadic(rng, 48) + 0.5;
+    const double shared_speed = Dyadic(rng, 8) + 0.125;
+    for (double a : {0.0, 1e-20, 0.5}) {
+      std::vector<CandidateWorker> workers;
+      for (int i = 0; i < 16; ++i) {
+        CandidateWorker w = MakeWorker(
+            i, {}, {Dyadic(rng, 200), Dyadic(rng, 96)},
+            shared_bound ? shared_detour : Dyadic(rng, 48) + 0.5,
+            shared_bound ? shared_speed : Dyadic(rng, 8) + 0.125, 0.5);
+        const int num_points = static_cast<int>(rng.UniformInt(0, 4));
+        for (int p = 0; p <= num_points; ++p) {
+          // The last slot is the current location.
+          geo::Point loc{Dyadic(rng, 200), Dyadic(rng, 96)};
+          const SpatialTask& task =
+              tasks[static_cast<size_t>(rng.UniformInt(0, 11))];
+          const double bound =
+              std::min(w.detour_budget_km / 2.0,
+                       w.speed_kmpm * (task.deadline_min - now));
+          geo::Point boundary;
+          if (bound >= 0.0 && rng.Bernoulli(0.7) &&
+              BoundaryPoint(rng, task, bound, a, &boundary)) {
+            loc = boundary;
+            if (geo::DistanceSquared(loc, task.location) > bound * bound) {
+              ++rounded_ties;
+            }
+          }
+          if (p < num_points) {
+            w.predicted.push_back({loc, now + 10.0 * (p + 1)});
+          } else {
+            w.current_location = loc;
+          }
+        }
+        workers.push_back(std::move(w));
+      }
+      CandidateIndex index(workers);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << ", a = " << a << ", "
+                     << threads << " threads");
+        SetParallelThreadCount(threads);
+        CandidateGenStats stats;
+        ExpectSameTable(
+            GenerateCandidates(tasks, workers, a, now, nullptr),
+            GenerateCandidates(tasks, workers, a, now, &index, &stats));
+        EXPECT_EQ(stats.evaluated + stats.pruned,
+                  static_cast<int64_t>(tasks.size() * workers.size()));
+      }
+    }
+  }
+  SetParallelThreadCount(0);
+  EXPECT_GT(rounded_ties, 0);  // The rounded-tie family actually ran.
 }
 
 /// Workload-scale plan parity. Workers' platform-visible routines are
@@ -236,8 +385,8 @@ class PlanParityTest : public ::testing::TestWithParam<data::WorkloadKind> {
 };
 
 TEST_P(PlanParityTest, TableDenseAndIndexedBitIdentical) {
-  // The dense T x W sweep is the oracle of the indexed (and incremental)
-  // candidate source at workload scale. PPI and GGPSO consume this table
+  // The dense T x W sweep is the oracle of the indexed candidate source
+  // at workload scale. PPI and GGPSO consume this table
   // as-is, so table identity is their plan identity; KM keeps a dense
   // switch and is also checked end to end below. 0.5 km is the PPI/GGPSO
   // default radius, 1.0 km the one the KM checks use.

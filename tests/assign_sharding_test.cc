@@ -413,7 +413,7 @@ TEST_P(ShardingPlanParityTest, KmShardedAndGlobalBitIdentical) {
       AssignmentPlan global =
           KmAssign(batch.tasks, batch.workers, batch.now,
                    /*match_radius_km=*/1.0, /*weight_floor_km=*/1e-3,
-                   /*use_spatial_index=*/true, /*engine=*/nullptr,
+                   /*use_spatial_index=*/true, /*unused=*/nullptr,
                    /*shard_components=*/false);
       AssignmentPlan sharded =
           KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3);

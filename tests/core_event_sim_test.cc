@@ -99,7 +99,7 @@ EventRun RunEventHorizon(const data::Workload& workload,
                          const SimulatorConfig& config, AssignMethod method,
                          std::vector<SimEvent>* trace = nullptr) {
   nn::EncoderDecoder model(TinyModelConfig());
-  BatchAssignStep step(workload, model, config, nullptr);
+  BatchAssignStep step(workload, model, config);
   EventSimulator sim(workload, config, step);
   sim.set_event_trace(trace);
   sim.ScheduleBatchTriggers();
@@ -140,7 +140,7 @@ ReferenceRun RunBatchReference(const data::Workload& workload,
   metrics.total_tasks = static_cast<int>(workload.task_stream.size());
   if (workers.empty() || workload.task_stream.empty()) return run;
 
-  BatchAssignStep step(workload, model, config, nullptr);
+  BatchAssignStep step(workload, model, config);
   const double horizon_start = workload.task_stream.front().release_time_min;
   double horizon_end = 0.0;
   for (const assign::SpatialTask& task : workload.task_stream) {
@@ -507,7 +507,7 @@ TEST_F(EventBatchParityTest, EventOrderIdenticalAcrossThreadCounts) {
   SimMetrics reference_metrics;
   for (int threads : {1, 2, 4, 8}) {
     ThreadCountGuard guard(threads);
-    BatchAssignStep step(*porto_, model, config.sim, nullptr);
+    BatchAssignStep step(*porto_, model, config.sim);
     EventSimulator sim(*porto_, config.sim, step);
     std::vector<SimEvent> trace;
     sim.set_event_trace(&trace);

@@ -161,6 +161,29 @@ TEST(ParseRunFlagsTest, RejectsMalformedInput) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Parse({"--methods=KM,WARP"}, &options).code(),
             StatusCode::kInvalidArgument);
+  // An integer that does not fit its field is rejected by flag name, never
+  // wrapped (2^32 + 1 into an int) or clamped (2^64 and up for --seed).
+  for (const std::string arg :
+       {"--threads=4294967297", "--threads=2147483648",
+        "--horizon=4294967297", "--horizon=2147483648",
+        "--seed=18446744073709551616", "--seed=99999999999999999999",
+        "--seed=+5", "--seed= 5", "--seed="}) {
+    core::RunOptions fresh;
+    Status s = Parse({arg}, &fresh);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << arg;
+    const std::string flag = arg.substr(0, arg.find('='));
+    EXPECT_NE(s.message().find(flag), std::string::npos) << s.message();
+  }
+  // The edges of each range still parse, exactly.
+  core::RunOptions edges;
+  ASSERT_TRUE(Parse({"--seed=18446744073709551615", "--threads=2147483647",
+                     "--horizon=2147483647"},
+                    &edges)
+                  .ok());
+  EXPECT_EQ(edges.seed, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(edges.threads, std::numeric_limits<int>::max());
+  EXPECT_EQ(edges.sim.prediction_horizon_steps,
+            std::numeric_limits<int>::max());
 }
 
 TEST(AssignMethodNameTest, RoundTripsThroughParse) {
@@ -200,41 +223,14 @@ TEST(WorkloadKindNameTest, RoundTripsAndAcceptsLongForms) {
   EXPECT_FALSE(data::ParseWorkloadKind("mars").ok());
 }
 
-TEST(ModeEnumTest, CandidateModeRoundTripsThroughFlag) {
-  // Name -> --candidates=<name> -> ParseRunFlags -> same enum, for every
-  // mode: the flag surface and the enum table can never drift apart.
-  for (core::CandidateMode mode : core::AllCandidateModes()) {
-    const std::string name(core::CandidateModeName(mode));
-    core::RunOptions options;
-    ASSERT_TRUE(Parse({"--candidates=" + name}, &options).ok()) << name;
-    EXPECT_EQ(options.sim.candidate_mode, mode) << name;
-    StatusOr<core::CandidateMode> parsed = core::ParseCandidateMode(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, mode) << name;
-  }
-  core::RunOptions options;
-  Status bad = Parse({"--candidates=psychic"}, &options);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("--candidates"), std::string::npos);
-}
-
-TEST(ModeEnumTest, ParseIsCaseInsensitive) {
-  StatusOr<core::CandidateMode> candidates =
-      core::ParseCandidateMode("Incremental");
-  ASSERT_TRUE(candidates.ok());
-  EXPECT_EQ(*candidates, core::CandidateMode::kIncremental);
-}
-
 TEST(ModeEnumTest, RetiredModesAreRejected) {
   // The dense candidate sweep, the scalar forecast, the batch-replay
-  // engine and the global solve are test oracles, not run modes.
+  // engine and the global solve are test oracles, not run modes; the
+  // incremental candidate engine is gone, and with it --candidates.
   core::RunOptions options;
-  Status dense = Parse({"--candidates=dense"}, &options);
-  EXPECT_EQ(dense.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(dense.message().find("indexed, incremental"), std::string::npos)
-      << dense.message();
   for (const char* flag :
-       {"--forecast=scalar", "--engine=batch", "--sharding=off"}) {
+       {"--candidates=indexed", "--candidates=incremental",
+        "--forecast=scalar", "--engine=batch", "--sharding=off"}) {
     Status s = Parse({flag}, &options);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << flag;
     EXPECT_NE(s.message().find("unknown flag"), std::string::npos) << flag;

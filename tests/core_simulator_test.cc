@@ -107,28 +107,6 @@ TEST_F(SimulatorTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.total_cost_km, b.total_cost_km);
 }
 
-TEST_F(SimulatorTest, IncrementalModeMatchesIndexedBitIdentical) {
-  // Full-horizon parity: --candidates=incremental must reproduce the
-  // indexed metrics exactly — across the whole batch loop with real
-  // worker churn (busy/offline windows), task expiry, and rejections —
-  // for every predicting method, runs back-to-back through one pipeline
-  // (so later runs replay earlier instants against a warm row cache).
-  PipelineConfig incremental_config = SmallPipeline();
-  incremental_config.sim.candidate_mode = core::CandidateMode::kIncremental;
-  TampPipeline incremental_pipeline(incremental_config);
-  for (AssignMethod method :
-       {AssignMethod::kKm, AssignMethod::kPpi, AssignMethod::kGgpso}) {
-    SimMetrics cold = pipeline_->RunOnline(*workload_, *offline_, method);
-    SimMetrics warm =
-        incremental_pipeline.RunOnline(*workload_, *offline_, method);
-    EXPECT_EQ(cold.assignments, warm.assignments) << AssignMethodName(method);
-    EXPECT_EQ(cold.accepted, warm.accepted) << AssignMethodName(method);
-    EXPECT_EQ(cold.completed, warm.completed) << AssignMethodName(method);
-    EXPECT_EQ(cold.total_cost_km, warm.total_cost_km)
-        << AssignMethodName(method);
-  }
-}
-
 TEST(PurgeExpiredTasksTest, DropsLargeBacklogInOnePassPreservingOrder) {
   // Regression: the old purge restarted the scan from begin() after every
   // erase (O(n^2) when a backlog expires at once). The single-pass purge

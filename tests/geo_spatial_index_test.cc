@@ -121,6 +121,24 @@ TEST(SpatialLabelIndexTest, ClosedBoundaryIsIncluded) {
   EXPECT_EQ(out[0], 1);
   index.CollectLabelsWithin({3.0, 4.0}, 0.9999, out);
   EXPECT_TRUE(out.empty());
+
+  // A rounded tie: (1, 2^-26) has Distance exactly 1.0 from the origin,
+  // but DistanceSquared 1 + 2^-52 > 1.0. "dis" is Distance, the quantity
+  // EvaluateCandidate compares, so the point is on the closed ball.
+  const Point tie{1.0, std::ldexp(1.0, -26)};
+  const Point origin{0.0, 0.0};
+  ASSERT_EQ(Distance(tie, origin), 1.0);
+  ASSERT_GT(DistanceSquared(tie, origin), 1.0);
+  SpatialLabelIndex tie_index({{tie, 7}, {{5.0, 5.0}, 8}});
+  SpatialLabelIndex::QueryScratch scratch;
+  for (SpatialLabelIndex::QueryScratch* s :
+       {&scratch, static_cast<SpatialLabelIndex::QueryScratch*>(nullptr)}) {
+    tie_index.CollectLabelsWithin(origin, 1.0, out, s);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], 7);
+    tie_index.CollectLabelsWithin(origin, std::nextafter(1.0, 0.0), out, s);
+    EXPECT_TRUE(out.empty());
+  }
 }
 
 TEST(SpatialLabelIndexTest, DeduplicatesAndSortsLabels) {
@@ -230,124 +248,6 @@ TEST(SpatialLabelIndexTest, ScratchEpochWrapDoesNotDropLabels) {
     EXPECT_EQ(fast, plain) << "query " << q << " after the wrap";
     EXPECT_NE(scratch.epoch, 0u);
   }
-}
-
-TEST(SpatialLabelIndexTest, DeltaUpdatesMatchRebuiltIndex) {
-  // Insert/RemoveLabel on a live index must answer queries exactly like an
-  // index bulk-built from the surviving entries — including points pushed
-  // outside the original frame (overflow list).
-  tamp::Rng rng(555);
-  std::vector<SpatialLabelIndex::Entry> entries;
-  for (int i = 0; i < 200; ++i) {
-    entries.push_back({{rng.Uniform(0.0, 10.0), rng.Uniform(0.0, 8.0)},
-                       static_cast<int>(rng.UniformInt(0, 29))});
-  }
-  SpatialLabelIndex index(entries);
-  const uint64_t gen0 = index.generation();
-
-  // Remove two labels, move one (remove + re-insert elsewhere, partly
-  // outside the frame), and add a newcomer.
-  auto apply_delta = [&](std::vector<SpatialLabelIndex::Entry>& model) {
-    std::erase_if(model, [](const SpatialLabelIndex::Entry& e) {
-      return e.label == 3 || e.label == 17;
-    });
-    std::erase_if(model,
-                  [](const SpatialLabelIndex::Entry& e) { return e.label == 5; });
-    model.push_back({{-4.0, 2.0}, 5});   // Outside the original frame.
-    model.push_back({{2.5, 2.5}, 5});
-    model.push_back({{11.5, 3.0}, 77});  // Newcomer, also outside.
-    model.push_back({{6.0, 6.0}, 77});
-  };
-  size_t removed = index.RemoveLabel(3);
-  removed += index.RemoveLabel(17);
-  removed += index.RemoveLabel(5);
-  EXPECT_GT(removed, 0u);
-  index.Insert({{-4.0, 2.0}, 5});
-  index.Insert({{2.5, 2.5}, 5});
-  index.Insert({{11.5, 3.0}, 77});
-  index.Insert({{6.0, 6.0}, 77});
-  // generation advances once per entry op (the delta-ops counter contract).
-  EXPECT_EQ(index.generation(), gen0 + removed + 4);
-
-  apply_delta(entries);
-  SpatialLabelIndex rebuilt(entries);
-  EXPECT_EQ(index.num_entries(), rebuilt.num_entries());
-  SpatialLabelIndex::QueryScratch scratch;
-  std::vector<int> live, fresh;
-  for (int q = 0; q < 80; ++q) {
-    Point center{rng.Uniform(-6.0, 13.0), rng.Uniform(-2.0, 10.0)};
-    double radius = rng.Uniform(0.0, 5.0);
-    index.CollectLabelsWithin(center, radius, live, &scratch);
-    rebuilt.CollectLabelsWithin(center, radius, fresh);
-    EXPECT_EQ(live, fresh)
-        << "center=(" << center.x << "," << center.y << ") r=" << radius;
-    EXPECT_EQ(live, BruteLabels(entries, center, radius));
-  }
-}
-
-std::vector<int> BruteLabelsCapped(
-    const std::vector<SpatialLabelIndex::Entry>& entries, const Point& center,
-    const std::vector<double>& radius_of_label) {
-  std::vector<int> labels;
-  for (const auto& e : entries) {
-    const double r = radius_of_label[static_cast<size_t>(e.label)];
-    if (r >= 0.0 && Distance(e.loc, center) <= r) labels.push_back(e.label);
-  }
-  std::sort(labels.begin(), labels.end());
-  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-  return labels;
-}
-
-TEST(SpatialLabelIndexTest, CappedQueryMatchesBruteForce) {
-  // Per-label radii, including zero (closed ball: an entry exactly at the
-  // center is a hit), negative (label disabled), and radii far below the
-  // outer max — with and without scratch, plus delta-inserted entries.
-  tamp::Rng rng(808);
-  std::vector<SpatialLabelIndex::Entry> entries;
-  for (int i = 0; i < 300; ++i) {
-    entries.push_back({{rng.Uniform(0.0, 15.0), rng.Uniform(0.0, 10.0)},
-                       static_cast<int>(rng.UniformInt(0, 24))});
-  }
-  SpatialLabelIndex index(entries);
-  index.Insert({{-3.0, 5.0}, 24});  // Overflow entry must obey caps too.
-  entries.push_back({{-3.0, 5.0}, 24});
-  SpatialLabelIndex::QueryScratch scratch;
-  std::vector<double> radii(25, 0.0);
-  std::vector<int> fast, plain;
-  for (int q = 0; q < 80; ++q) {
-    Point center{rng.Uniform(-5.0, 18.0), rng.Uniform(-2.0, 12.0)};
-    double max_radius = 0.0;
-    for (double& r : radii) {
-      const double roll = rng.Uniform(-1.0, 4.0);
-      r = (roll < 0.0) ? -1.0 : roll;
-      max_radius = std::max(max_radius, r);
-    }
-    index.CollectLabelsWithinCaps(center, max_radius, radii, fast, &scratch);
-    index.CollectLabelsWithinCaps(center, max_radius, radii, plain);
-    const std::vector<int> expected = BruteLabelsCapped(entries, center, radii);
-    EXPECT_EQ(fast, expected) << "query " << q;
-    EXPECT_EQ(plain, expected) << "query " << q;
-  }
-}
-
-TEST(SpatialLabelIndexTest, DefaultConstructedIndexAcceptsInserts) {
-  // The pre-first-build state of long-lived holders: no grid frame, every
-  // insert goes to overflow, queries still answer exactly.
-  SpatialLabelIndex index;
-  EXPECT_EQ(index.num_entries(), 0u);
-  index.Insert({{1.0, 1.0}, 4});
-  index.Insert({{2.0, 2.0}, 9});
-  EXPECT_EQ(index.num_entries(), 2u);
-  EXPECT_EQ(index.generation(), 2u);
-  std::vector<int> out;
-  index.CollectLabelsWithin({1.0, 1.0}, 1.5, out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], 4);
-  EXPECT_EQ(out[1], 9);
-  EXPECT_EQ(index.RemoveLabel(4), 1u);
-  index.CollectLabelsWithin({1.0, 1.0}, 1.5, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], 9);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 # One-command pre-merge gate for the TAMP repo.
 #
 #   tools/check.sh                 Release build + ctest, the bench metrics
-#                                  gate (micro benches vs bench/baselines/,
+#                                  gate (micro benches and the Fig. 7
+#                                  accuracy cells vs bench/baselines/,
 #                                  plus a fresh 1- vs 4-thread table run),
 #                                  the repository benchmark's build + ctest
 #                                  (bench/e2e), clang-tidy (when
@@ -109,7 +110,7 @@ bench_gate_stage() {
   local baselines="$REPO_ROOT/bench/baselines"
   local target
   for target in micro_matching micro_nn micro_similarity micro_cluster \
-                micro_candidates micro_incremental; do
+                micro_candidates; do
     run_stage "bench-run-$target" env TAMP_BENCH_JSON_DIR="$dir" \
               "$dir/bench/bench_$target" --benchmark_min_time=0.01 \
               || return 1
@@ -135,6 +136,17 @@ bench_gate_stage() {
   run_stage "bench-gate-scale" "$compare" \
             "$baselines/BENCH_scale.json" \
             "$dir/BENCH_scale.json" || return 1
+  # Fig. 7 (tasks sweep, Porto): its 105 completion / rejection / cost
+  # cells and the obs work counts (candidate evaluations, KM solves, ...)
+  # of a fresh run must equal the committed baseline bitwise, so a change
+  # to the candidate, forecast or solve path cannot move an accuracy cell
+  # unnoticed. The `assign_s` cells and stage clocks stay advisory.
+  mkdir -p "$dir/fig7"
+  run_stage "bench-run-fig7" "$dir/bench/bench_fig7_tasks_porto" \
+            --threads=4 --json-dir="$dir/fig7" || return 1
+  run_stage "bench-gate-fig7" "$compare" \
+            "$baselines/BENCH_fig7_tasks_porto.json" \
+            "$dir/fig7/BENCH_fig7_tasks_porto.json" || return 1
   # Thread invariance: the table cells and the obs work counts (including
   # the nn.* forecast counters) of a fresh run must not depend on the
   # thread count.
