@@ -50,8 +50,9 @@ struct Job {
 
 /// Lazily-started fixed pool. Workers persist for the process lifetime
 /// (reused across regions); the pool grows up to the configured count but
-/// never shrinks, and only min(count-1, n-1) workers participate in a
-/// region — the caller always works too.
+/// never shrinks, and at most min(count, n) - 1 workers join a region — the
+/// caller always works too. A region opens that many join slots, so after
+/// a lowered count the surplus spawned workers sit the region out.
 class Pool {
  public:
   static Pool& Instance() {
@@ -68,6 +69,7 @@ class Pool {
       std::lock_guard<std::mutex> lock(mu_);
       current_ = &job;
       ++epoch_;
+      open_slots_ = max_threads - 1;
     }
     cv_workers_.notify_all();
     Work(job);
@@ -124,10 +126,12 @@ class Pool {
       {
         std::unique_lock<std::mutex> lock(mu_);
         cv_workers_.wait(lock, [&] {
-          return current_ != nullptr && epoch_ != seen_epoch;
+          return current_ != nullptr && epoch_ != seen_epoch &&
+                 open_slots_ > 0;
         });
         seen_epoch = epoch_;
         job = current_;
+        --open_slots_;
         ++participants_;
       }
       Work(*job);
@@ -146,6 +150,7 @@ class Pool {
   std::vector<std::thread> workers_;  // Detached-by-leak: never joined.
   Job* current_ = nullptr;
   uint64_t epoch_ = 0;
+  int open_slots_ = 0;    // Workers that may still join current_.
   int participants_ = 0;  // Workers currently inside Work() for current_.
 };
 

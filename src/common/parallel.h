@@ -37,7 +37,8 @@ int ParallelThreadCount();
 /// Overrides the thread count (tests, embedding applications). `threads`
 /// must be >= 1; pass 0 to drop the override and re-read TAMP_THREADS.
 /// Already-spawned pool workers are kept (the pool never shrinks); a lower
-/// count only limits how many participate in subsequent regions.
+/// count only limits how many participate in subsequent regions: the
+/// caller plus at most `threads - 1` pool workers.
 void SetParallelThreadCount(int threads);
 
 /// True while the calling thread is executing inside a parallel region

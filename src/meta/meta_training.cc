@@ -85,11 +85,10 @@ std::vector<double> AdaptKSteps(const nn::EncoderDecoder& model,
   return adapted;
 }
 
-MetaTrainResult MetaTrain(const nn::EncoderDecoder& model,
-                          const std::vector<LearningTask>& tasks,
-                          const std::vector<int>& members,
-                          std::vector<double>& theta,
-                          const MetaTrainConfig& config, Rng& rng) {
+std::vector<MetaTrainResult> MetaTrainClusters(
+    const nn::EncoderDecoder& model, const std::vector<LearningTask>& tasks,
+    const std::vector<MetaTrainCluster>& clusters,
+    const MetaTrainConfig& config, Rng& rng) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& iterations_counter =
       registry.GetCounter("meta.iterations");
@@ -99,36 +98,55 @@ MetaTrainResult MetaTrain(const nn::EncoderDecoder& model,
       registry.GetGauge("meta.avg_query_loss");
 
   obs::TraceSpan train_span("meta.train");
-  TAMP_CHECK(!members.empty());
-  TAMP_CHECK(theta.size() == model.param_count());
-
-  MetaTrainResult result;
-  result.meta_gradient.assign(theta.size(), 0.0);
+  const size_t iterations = static_cast<size_t>(std::max(config.iterations, 0));
+  std::vector<MetaTrainResult> results(clusters.size());
+  // Alg. 3 line 2, for every cluster and iteration up front: sample a batch
+  // of m member tasks. The shared rng is consumed only here, on the calling
+  // thread, in the order one-cluster-at-a-time training would draw
+  // (cluster by cluster, then iteration by iteration). The per-pick work
+  // below is RNG-free, so no sub-Rng derivation is needed and 1-thread and
+  // N-thread runs are bit-identical. pick_task[iter] lists the iteration's
+  // sampled task ids cluster after cluster; the batch size is the same
+  // every iteration, so cluster c's picks always occupy
+  // [first_pick[c], first_pick[c + 1]).
+  std::vector<std::vector<int>> pick_task(iterations);
+  std::vector<size_t> first_pick(clusters.size() + 1, 0);
+  std::vector<size_t> pick_cluster;  // The cluster of each pick slot.
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    const std::vector<int>& members = *clusters[c].members;
+    TAMP_CHECK(!members.empty());
+    TAMP_CHECK(clusters[c].theta->size() == model.param_count());
+    results[c].meta_gradient.assign(model.param_count(), 0.0);
+    size_t m = static_cast<size_t>(
+        std::min<int>(config.batch_size, static_cast<int>(members.size())));
+    for (size_t iter = 0; iter < iterations; ++iter) {
+      for (size_t b : rng.SampleWithoutReplacement(members.size(), m)) {
+        pick_task[iter].push_back(members[b]);
+      }
+    }
+    first_pick[c + 1] = first_pick[c] + m;
+    pick_cluster.insert(pick_cluster.end(), m, c);
+  }
 
   // One sampled pick's adapt + query-loss result. Computed independently
-  // per pick (Alg. 3 lines 4-8 touch only theta, the task's own data, and
-  // pick-local buffers), so the batch fans out over the thread pool.
+  // per pick (Alg. 3 lines 4-8 touch only its cluster's theta, the task's
+  // own data, and pick-local buffers), so the picks of every cluster fan
+  // out over the thread pool together.
   struct PickResult {
     double query_loss = 0.0;
     bool contributing = false;
     std::vector<double> contribution;  // This pick's meta-gradient term.
   };
+  std::vector<bool> had_contributing(clusters.size(), false);
 
-  for (int iter = 0; iter < config.iterations; ++iter) {
-    iterations_counter.Increment();
-    // Alg. 3 line 2: sample a batch of m member tasks. The shared rng is
-    // consumed only here, on the calling thread, before the fan-out; the
-    // per-pick work below is RNG-free, so no sub-Rng derivation is needed
-    // and 1-thread and N-thread runs are bit-identical.
-    int m = std::min<int>(config.batch_size, static_cast<int>(members.size()));
-    std::vector<size_t> batch = rng.SampleWithoutReplacement(
-        members.size(), static_cast<size_t>(m));
-
+  for (size_t iter = 0; iter < iterations; ++iter) {
+    iterations_counter.Increment(static_cast<int64_t>(clusters.size()));
     std::vector<PickResult> picks = ParallelMap<PickResult>(
-        batch.size(), [&](size_t b) {
+        pick_cluster.size(), [&](size_t p) {
           PickResult out;
+          const std::vector<double>& theta = *clusters[pick_cluster[p]].theta;
           const LearningTask& task =
-              tasks[static_cast<size_t>(members[batch[b]])];
+              tasks[static_cast<size_t>(pick_task[iter][p])];
           if (task.support.empty() || task.query.empty()) return out;
           // Alg. 3 lines 4-7: adapt k steps on the support set.
           std::vector<double> adapted =
@@ -156,31 +174,51 @@ MetaTrainResult MetaTrain(const nn::EncoderDecoder& model,
           return out;
         });
 
-    // Ordered reduction: accumulate in pick order, exactly as the serial
-    // loop did, so the meta step is bit-identical at any thread count.
-    std::fill(result.meta_gradient.begin(), result.meta_gradient.end(), 0.0);
-    double loss_sum = 0.0;
-    int contributing = 0;
-    for (const PickResult& pick : picks) {
-      if (!pick.contributing) continue;
-      for (size_t i = 0; i < theta.size(); ++i) {
-        result.meta_gradient[i] += pick.contribution[i];
+    // Per-cluster ordered reduction: accumulate the cluster's picks in pick
+    // order, exactly as the serial loop did, so each meta step is
+    // bit-identical at any thread count.
+    for (size_t c = 0; c < clusters.size(); ++c) {
+      std::vector<double>& theta = *clusters[c].theta;
+      MetaTrainResult& result = results[c];
+      std::fill(result.meta_gradient.begin(), result.meta_gradient.end(), 0.0);
+      double loss_sum = 0.0;
+      int contributing = 0;
+      for (size_t p = first_pick[c]; p < first_pick[c + 1]; ++p) {
+        const PickResult& pick = picks[p];
+        if (!pick.contributing) continue;
+        for (size_t i = 0; i < theta.size(); ++i) {
+          result.meta_gradient[i] += pick.contribution[i];
+        }
+        loss_sum += pick.query_loss;
+        ++contributing;
       }
-      loss_sum += pick.query_loss;
-      ++contributing;
+      if (contributing == 0) continue;
+      double inv = 1.0 / static_cast<double>(contributing);
+      for (double& g : result.meta_gradient) g *= inv;
+      nn::ClipGradientNorm(result.meta_gradient, config.grad_clip);
+      // Alg. 3 line 9: meta update.
+      for (size_t i = 0; i < theta.size(); ++i) {
+        theta[i] -= config.alpha * result.meta_gradient[i];
+      }
+      result.avg_query_loss = loss_sum * inv;
+      had_contributing[c] = true;
     }
-    if (contributing == 0) continue;
-    double inv = 1.0 / static_cast<double>(contributing);
-    for (double& g : result.meta_gradient) g *= inv;
-    nn::ClipGradientNorm(result.meta_gradient, config.grad_clip);
-    // Alg. 3 line 9: meta update.
-    for (size_t i = 0; i < theta.size(); ++i) {
-      theta[i] -= config.alpha * result.meta_gradient[i];
-    }
-    result.avg_query_loss = loss_sum * inv;
-    query_loss_gauge.Set(result.avg_query_loss);
   }
-  return result;
+  // The gauge ends where one-cluster-at-a-time training left it: the last
+  // cluster with a contributing iteration, at its last such iteration.
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    if (had_contributing[c]) query_loss_gauge.Set(results[c].avg_query_loss);
+  }
+  return results;
+}
+
+MetaTrainResult MetaTrain(const nn::EncoderDecoder& model,
+                          const std::vector<LearningTask>& tasks,
+                          const std::vector<int>& members,
+                          std::vector<double>& theta,
+                          const MetaTrainConfig& config, Rng& rng) {
+  return std::move(
+      MetaTrainClusters(model, tasks, {{&members, &theta}}, config, rng)[0]);
 }
 
 double FineTune(const nn::EncoderDecoder& model, const LearningTask& task,

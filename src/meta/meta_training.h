@@ -41,10 +41,20 @@ struct MetaTrainConfig {
 
 /// Output of one Meta-Training run on a cluster.
 struct MetaTrainResult {
-  /// Average query loss over the final iteration (Alg. 3 line 10).
+  /// Average query loss of the last iteration in which some pick
+  /// contributed (Alg. 3 line 10); 0 when no iteration had one.
   double avg_query_loss = 0.0;
-  /// The last meta-gradient (first-order), used by TAML's non-leaf updates.
+  /// The final iteration's clipped mean meta-gradient (first-order), used
+  /// by TAML's non-leaf updates; all zeros when no pick of the final
+  /// iteration contributed.
   std::vector<double> meta_gradient;
+};
+
+/// One cluster of a MetaTrainClusters call: its member task ids (indexes
+/// into `tasks`, non-empty) and the theta Meta-Training updates in place.
+struct MetaTrainCluster {
+  const std::vector<int>* members = nullptr;
+  std::vector<double>* theta = nullptr;
 };
 
 /// Loss-step weights for a sample: f_w applied to each target point, or
@@ -84,10 +94,25 @@ std::vector<double> AdaptKSteps(const nn::EncoderDecoder& model,
                                 int steps, double beta,
                                 const MetaTrainConfig& config);
 
+/// Meta-Training (Algorithm 3) on several independent clusters in
+/// lockstep. Each iteration samples m member tasks per cluster, adapts k
+/// steps on each task's support set, and applies the cluster's mean query
+/// gradient at the adapted parameters to its theta. Every cluster's
+/// batches are drawn from `rng` up front, cluster by cluster and then
+/// iteration by iteration, so the draws and each cluster's arithmetic
+/// equal running MetaTrain on the clusters one after another; each
+/// iteration then fans out the picks of all clusters at once. The
+/// meta.iterations / meta.adapt_steps totals and the final
+/// meta.avg_query_loss also equal that serial run's. Returns one result
+/// per cluster, in order.
+std::vector<MetaTrainResult> MetaTrainClusters(
+    const nn::EncoderDecoder& model, const std::vector<LearningTask>& tasks,
+    const std::vector<MetaTrainCluster>& clusters,
+    const MetaTrainConfig& config, Rng& rng);
+
 /// Meta-Training (Algorithm 3) on one cluster of learning tasks using
-/// first-order MAML: each iteration samples m member tasks, adapts k steps
-/// on each task's support set, and applies the mean query gradient at the
-/// adapted parameters to `theta`. `members` indexes into `tasks`.
+/// first-order MAML: MetaTrainClusters with the single cluster
+/// {`members`, `theta`}. `members` indexes into `tasks`.
 MetaTrainResult MetaTrain(const nn::EncoderDecoder& model,
                           const std::vector<LearningTask>& tasks,
                           const std::vector<int>& members,

@@ -5,24 +5,28 @@
 
 namespace tamp::meta {
 
-TamlResult Taml(cluster::TaskTreeNode& node,
-                const std::vector<LearningTask>& tasks,
-                const nn::EncoderDecoder& model, const MetaTrainConfig& config,
-                Rng& rng) {
-  TAMP_CHECK(node.theta.size() == model.param_count());
+namespace {
+
+/// Alg. 2 lines 3-6 over the trained leaves, post-order: each interior node
+/// averages its children's losses and meta-gradients and takes one meta
+/// step. `leaf_results` holds the leaves' MetaTrain results in depth-first
+/// order; `next_leaf` walks it.
+TamlResult AggregateSubtree(cluster::TaskTreeNode& node,
+                            std::vector<MetaTrainResult>& leaf_results,
+                            size_t& next_leaf, size_t param_count,
+                            const MetaTrainConfig& config) {
+  TAMP_CHECK(node.theta.size() == param_count);
   TamlResult result;
   if (node.is_leaf()) {
-    // Alg. 2 lines 1-2: leaves run Meta-Training on their own cluster.
-    MetaTrainResult trained =
-        MetaTrain(model, tasks, node.tasks, node.theta, config, rng);
+    MetaTrainResult& trained = leaf_results[next_leaf++];
     result.avg_loss = trained.avg_query_loss;
     result.gradient = std::move(trained.meta_gradient);
     return result;
   }
-  // Alg. 2 lines 3-5: recurse into children, averaging losses/gradients.
-  result.gradient.assign(model.param_count(), 0.0);
+  result.gradient.assign(param_count, 0.0);
   for (auto& child : node.children) {
-    TamlResult child_result = Taml(*child, tasks, model, config, rng);
+    TamlResult child_result =
+        AggregateSubtree(*child, leaf_results, next_leaf, param_count, config);
     result.avg_loss += child_result.avg_loss;
     for (size_t i = 0; i < result.gradient.size(); ++i) {
       result.gradient[i] += child_result.gradient[i];
@@ -37,6 +41,28 @@ TamlResult Taml(cluster::TaskTreeNode& node,
     node.theta[i] -= config.alpha * result.gradient[i];
   }
   return result;
+}
+
+}  // namespace
+
+TamlResult Taml(cluster::TaskTreeNode& node,
+                const std::vector<LearningTask>& tasks,
+                const nn::EncoderDecoder& model, const MetaTrainConfig& config,
+                Rng& rng) {
+  // Alg. 2 lines 1-2: every leaf runs Meta-Training on its own cluster.
+  // The leaves are independent, so they train in lockstep, in depth-first
+  // order (the order the recursion would visit them).
+  std::vector<cluster::TaskTreeNode*> leaves = cluster::CollectLeaves(node);
+  std::vector<MetaTrainCluster> clusters;
+  clusters.reserve(leaves.size());
+  for (cluster::TaskTreeNode* leaf : leaves) {
+    clusters.push_back({&leaf->tasks, &leaf->theta});
+  }
+  std::vector<MetaTrainResult> leaf_results =
+      MetaTrainClusters(model, tasks, clusters, config, rng);
+  size_t next_leaf = 0;
+  return AggregateSubtree(node, leaf_results, next_leaf, model.param_count(),
+                          config);
 }
 
 void InitializeTreeParams(cluster::TaskTreeNode& root,

@@ -1,13 +1,18 @@
 // Tests of the deterministic parallel runtime (src/common/parallel):
-// pool reuse across regions, exception propagation, nested-call safety,
-// and the 1-thread == serial contract.
+// pool reuse across regions, the participation limit of a lowered thread
+// count, exception propagation, nested-call safety, and the 1-thread ==
+// serial contract.
 #include "common/parallel.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,6 +60,25 @@ TEST(ParallelForTest, PoolIsReusedAcrossManyRegions) {
       sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 64L * 63L / 2L);
+  }
+}
+
+TEST(ParallelForTest, LoweredThreadCountLimitsParticipants) {
+  // Grow the pool to 7 workers first; the pool never shrinks, so the
+  // later 2-thread regions must keep the surplus workers out.
+  SetParallelThreadCount(8);
+  ParallelFor(64, [](size_t) {});
+  ScopedThreads threads(2);
+  for (int round = 0; round < 5; ++round) {
+    std::mutex mu;
+    std::set<decltype(std::this_thread::get_id())> ids;
+    ParallelFor(64, [&](size_t) {
+      // Long enough per index that every woken worker would claim some.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(ids.size(), 2u) << "round " << round;
   }
 }
 
