@@ -2,8 +2,9 @@
 // every online batch pays per worker), the training step (what meta-
 // training pays per sample), and the fleet-wide forecast rollout — the
 // per-worker scalar chain against the batched SoA engine
-// (nn::BatchedSeq2Seq), with distinct per-worker parameters (batched
-// GEMV tiles) and a shared parameter vector (true GEMM tiles).
+// (nn::BatchedSeq2Seq), with distinct per-worker parameters (one 1-column
+// tile per worker, fanned out over the pool) and a shared parameter
+// vector (64-column GEMM tiles).
 // RegisterMicroMetrics records the deterministic nn.* work counts that
 // tools/bench_compare gates on.
 #include <benchmark/benchmark.h>
@@ -36,7 +37,7 @@ tamp::nn::Sequence MakeInput(int seq_in, int dim) {
 }
 
 /// A synthetic fleet on one dataset's grid: per-worker fine-tuned-style
-/// parameter vectors (all distinct — the batched-GEMV regime), one shared
+/// parameter vectors (all distinct — the 1-column-tile regime), one shared
 /// cluster-predictor vector (the GEMM regime), and short random-walk
 /// observation windows. The NN cost is independent of trajectory realism,
 /// so cheap walks keep the fixture fast while the grid extents and the
@@ -248,12 +249,15 @@ void RegisterMicroMetrics(JsonReport& report) {
     for (size_t fleet_size : fleet_sizes) {
       // The scalar path runs one LstmCell::Forward per (row, cell step):
       // ceil(horizon / seq_out) engine passes of (seq_in + seq_out) steps.
+      // Each tile launches one gate kernel per cell step and one readout
+      // kernel per decoder step per pass.
       const auto& cfg = ds.fleet.config;
       const int64_t outer =
           (kHorizonSteps + cfg.seq_out - 1) / cfg.seq_out;
       const int64_t scalar_cell_calls =
           static_cast<int64_t>(fleet_size) * outer *
           (kSeqIn + cfg.seq_out);
+      const int64_t tile_launches = outer * (kSeqIn + 2 * cfg.seq_out);
 
       const int64_t cells_before = cells.value();
       const int64_t gemm_before = gemm.value();
@@ -269,10 +273,18 @@ void RegisterMicroMetrics(JsonReport& report) {
                                 scratch, out);
       const int64_t shared_gemm = gemm.value() - shared_gemm_before;
 
-      // The tentpole's contract: same per-row cell work, strictly fewer
-      // kernel launches than the scalar path's per-worker cell calls.
+      // The engine's contract: the scalar path's per-row cell work; one
+      // 1-column tile per distinct-params worker; and for a shared
+      // parameter vector ceil(W / 64) tiles, strictly fewer kernel
+      // launches than the scalar path's per-worker cell calls.
+      const int64_t shared_tiles =
+          static_cast<int64_t>((fleet_size + nn::BatchedSeq2Seq::kTileCols -
+                                1) /
+                               nn::BatchedSeq2Seq::kTileCols);
       TAMP_CHECK(batched_cells == scalar_cell_calls);
-      TAMP_CHECK(batched_gemm < scalar_cell_calls);
+      TAMP_CHECK(batched_gemm ==
+                 static_cast<int64_t>(fleet_size) * tile_launches);
+      TAMP_CHECK(shared_gemm == shared_tiles * tile_launches);
       TAMP_CHECK(shared_gemm < scalar_cell_calls);
 
       const std::string prefix =

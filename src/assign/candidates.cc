@@ -76,9 +76,11 @@ std::vector<std::vector<TaskCandidate>> GenerateCandidates(
       registry.GetHistogram("assign.index_query_s",
                             obs::DurationEdgesSeconds());
 
+  const int64_t dense =
+      static_cast<int64_t>(tasks.size()) * static_cast<int64_t>(workers.size());
   std::vector<std::vector<TaskCandidate>> table(tasks.size());
   std::vector<int64_t> evals(tasks.size(), 0);
-  ParallelFor(tasks.size(), [&](size_t t) {
+  auto fill_row = [&](size_t t) {
     const SpatialTask& task = tasks[t];
     std::vector<TaskCandidate>& row = table[t];
     if (index == nullptr) {
@@ -105,12 +107,17 @@ std::vector<std::vector<TaskCandidate>> GenerateCandidates(
       if (Matters(info)) row.push_back(CompactInfo(w, info));
     }
     evals[t] = static_cast<int64_t>(hits.size());
-  });
+  };
+  // A pool region costs more than a small batch's rows (DESIGN.md §4d), so
+  // below the measured crossover the same body runs inline on the caller.
+  if (dense < kMinParallelCandidatePairs) {
+    for (size_t t = 0; t < tasks.size(); ++t) fill_row(t);
+  } else {
+    ParallelFor(tasks.size(), fill_row);
+  }
 
   int64_t evaluated = 0;
   for (int64_t e : evals) evaluated += e;
-  const int64_t dense =
-      static_cast<int64_t>(tasks.size()) * static_cast<int64_t>(workers.size());
   evals_counter.Increment(evaluated);
   pruned_counter.Increment(dense - evaluated);
   if (stats != nullptr) {

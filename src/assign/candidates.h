@@ -51,6 +51,11 @@ struct CandidateGenStats {
   int64_t pruned = 0;     // Dense pairs skipped via the spatial index.
 };
 
+/// Dense (task, worker) pairs below which GenerateCandidates runs inline:
+/// the crossover where a 4-thread fan-out over tasks starts to beat the
+/// serial loop, measured by bench_micro_parallel (DESIGN.md §4d).
+inline constexpr int64_t kMinParallelCandidatePairs = 4096;
+
 /// Builds the batch candidate table: for every task, the ascending-worker
 /// list of pairs whose EvaluateCandidate outcome matters (non-empty B or
 /// stage-3 feasible). Every assigner calls it with a per-batch `index`, so
@@ -61,7 +66,9 @@ struct CandidateGenStats {
 /// CandidateIndex).
 ///
 /// Tasks fan out over the deterministic parallel runtime with slot-indexed
-/// writes, so the table is bit-identical at any thread count.
+/// writes, so the table is bit-identical at any thread count. Batches of
+/// fewer than kMinParallelCandidatePairs dense pairs run the same body
+/// inline on the caller instead.
 std::vector<std::vector<TaskCandidate>> GenerateCandidates(
     const std::vector<SpatialTask>& tasks,
     const std::vector<CandidateWorker>& workers, double match_radius_km,

@@ -201,17 +201,28 @@ matching::MatchResult ShardedMaxWeightMatching(
 
   // Solve each active shard. Writes are slot-indexed (sub[a]), so the
   // result does not depend on the schedule; LPT order plus the pool's
-  // dynamic index claiming starts the largest solves first.
+  // dynamic index claiming starts the largest solves first. A pool region
+  // costs more than a few small solves (DESIGN.md §4d), so below the
+  // measured crossover the same body runs inline on the caller.
   std::vector<matching::MatchResult> sub(active.size());
   {
     obs::TraceSpan solve_span("assign.shard_solve");
-    ParallelFor(active.size(), [&](size_t a) {
+    auto solve = [&](size_t a) {
       const Shard& shard = plan.shards[static_cast<size_t>(active[a])];
       thread_local matching::MatchingScratch scratch;
       sub[a] = matching::MaxWeightMatching(
           static_cast<int>(shard.tasks.size()),
           static_cast<int>(shard.workers.size()), shard_edges[a], &scratch);
-    });
+    };
+    int64_t active_cost = 0;
+    for (int s : active) {
+      active_cost += plan.shards[static_cast<size_t>(s)].cost;
+    }
+    if (active_cost < kMinParallelShardCost) {
+      for (size_t a = 0; a < active.size(); ++a) solve(a);
+    } else {
+      ParallelFor(active.size(), solve);
+    }
   }
 
   // Merge in global left-ascending order — the global solve's emission

@@ -54,11 +54,18 @@ ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
                          const std::vector<SpatialTask>& tasks,
                          const std::vector<CandidateWorker>& workers);
 
+/// Summed Shard::cost of the active shards below which
+/// ShardedMaxWeightMatching solves them inline: the crossover where a
+/// 4-thread fan-out over shards starts to beat the serial loop, measured
+/// by bench_micro_parallel (DESIGN.md §4d).
+inline constexpr int64_t kMinParallelShardCost = 6144;
+
 /// The assigners' one solve (KM and every PPI stage): partitions `edges`
 /// by `plan`, solves each shard that has a positive edge with
 /// matching::MaxWeightMatching — concurrently via ParallelFor when the
-/// shards carry enough work to pay for the fan-out, each solve on a
-/// thread_local MatchingScratch — and merges the per-shard matchings in
+/// shards carry enough work to pay for the fan-out (a summed Shard::cost
+/// of at least kMinParallelShardCost), each solve on a thread_local
+/// MatchingScratch — and merges the per-shard matchings in
 /// global left-ascending order, the exact emission order of the global
 /// solve. total_weight is recomputed in that order, so the result is
 /// bitwise-identical to MaxWeightMatching(num_left, num_right, edges)

@@ -20,12 +20,15 @@ int DetectThreadCount() {
   if (env != nullptr && *env != '\0') {
     char* end = nullptr;
     long v = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v >= 1 && v <= 4096) {
+    if (end != nullptr && *end == '\0' && v >= 1 &&
+        v <= kMaxParallelThreads) {
       return static_cast<int>(v);
     }
   }
   unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return hw == 0 ? 1
+                 : static_cast<int>(std::min<unsigned>(
+                       hw, static_cast<unsigned>(kMaxParallelThreads)));
 }
 
 std::atomic<int> g_thread_override{0};
@@ -163,7 +166,7 @@ int ParallelThreadCount() {
 }
 
 void SetParallelThreadCount(int threads) {
-  TAMP_CHECK(threads >= 0);
+  TAMP_CHECK(threads >= 0 && threads <= kMaxParallelThreads);
   g_thread_override.store(threads, std::memory_order_relaxed);
 }
 

@@ -30,12 +30,21 @@
 /// runtime never deadlocks on its own pool.
 namespace tamp {
 
+/// Largest accepted thread count. A region grows the pool to
+/// min(count, n) - 1 workers, so an unbounded count would let one large
+/// region (--threads=100000 over a 12.5k-task candidate pass) try to start
+/// thousands of threads. 256 covers the core counts of current many-core
+/// hosts while a full pool of 255 parked workers stays cheap.
+inline constexpr int kMaxParallelThreads = 256;
+
 /// Number of threads parallel regions use: the explicit override if set,
-/// else TAMP_THREADS, else hardware_concurrency (>= 1 always).
+/// else TAMP_THREADS (when it is an integer in [1, kMaxParallelThreads]),
+/// else hardware_concurrency capped at kMaxParallelThreads (>= 1 always).
 int ParallelThreadCount();
 
 /// Overrides the thread count (tests, embedding applications). `threads`
-/// must be >= 1; pass 0 to drop the override and re-read TAMP_THREADS.
+/// must be in [1, kMaxParallelThreads] (checked); pass 0 to drop the
+/// override and re-read TAMP_THREADS.
 /// Already-spawned pool workers are kept (the pool never shrinks); a lower
 /// count only limits how many participate in subsequent regions: the
 /// caller plus at most `threads - 1` pool workers.

@@ -1,6 +1,5 @@
 #include "core/rollout.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -79,18 +78,19 @@ void RolloutPredictBatch(
     TAMP_CHECK_MSG(recent.size() == window_size,
                    "batched rollout rows must share one window length");
   }
+  TAMP_CHECK_MSG(engine.config().output_dim == 2,
+                 "rollout feeds back (x, y) predictions");
 
   auto time_of_day = [](double t_min) {
     return std::fmod(t_min, 1440.0) / 1440.0;
   };
-  // Pack the fleet's sliding windows as SoA [step][feature][row] (caller
-  // row order; the engine handles its own column permutation). Same
-  // normalization and timestamps as the scalar path, element for element.
+  // Pack the fleet's windows as SoA [step][feature][row] (caller row order;
+  // the engine handles its own column permutation). Same normalization and
+  // timestamps as the scalar path, element for element.
   const size_t id = static_cast<size_t>(input_dim);
-  const size_t od = static_cast<size_t>(engine.config().output_dim);
-  const size_t seq_out = static_cast<size_t>(engine.config().seq_out);
+  const size_t steps = static_cast<size_t>(horizon_steps);
   scratch.window.resize(window_size * id * rows);
-  scratch.preds.resize(seq_out * od * rows);
+  scratch.preds.resize(steps * 2 * rows);
   for (size_t t = 0; t < window_size; ++t) {
     const double t_min =
         now_min -
@@ -108,47 +108,29 @@ void RolloutPredictBatch(
       if (wt != nullptr) wt[r] = tod;
     }
   }
-
-  for (size_t r = 0; r < rows; ++r) {
-    (*out)[r].clear();
-    (*out)[r].reserve(static_cast<size_t>(horizon_steps));
+  // Produced step s is stamped now + (s + 1) * step_period, exactly like
+  // the scalar loop; with a time input its time-of-day rides along when the
+  // engine feeds the prediction back into the window.
+  scratch.step_times.resize(steps);
+  scratch.step_tod.resize(steps);
+  for (size_t s = 0; s < steps; ++s) {
+    scratch.step_times[s] =
+        now_min + (static_cast<double>(s) + 1.0) * step_period_min;
+    scratch.step_tod[s] = time_of_day(scratch.step_times[s]);
   }
-  int produced = 0;
-  while (produced < horizon_steps) {
-    engine.Forward(row_params, static_cast<int>(window_size),
-                   scratch.window.data(), scratch.preds.data(),
-                   scratch.engine);
-    for (size_t s = 0; s < seq_out; ++s) {
-      if (produced >= horizon_steps) break;
-      const double* px = scratch.preds.data() + (s * od + 0) * rows;
-      const double* py = scratch.preds.data() + (s * od + 1) * rows;
-      const double t =
-          now_min + (static_cast<double>(produced) + 1.0) * step_period_min;
-      for (size_t r = 0; r < rows; ++r) {
-        geo::Point km = grid.Denormalize({px[r], py[r]});
-        (*out)[r].push_back({km, t});
-      }
-      // Slide every window one step: drop the oldest step (a block shift
-      // in [step][feature][row] layout) and append the prediction with its
-      // future timestamp, exactly like the scalar feedback loop.
-      std::copy(scratch.window.begin() +
-                    static_cast<std::ptrdiff_t>(id * rows),
-                scratch.window.end(), scratch.window.begin());
-      double* wx =
-          scratch.window.data() + ((window_size - 1) * id + 0) * rows;
-      double* wy =
-          scratch.window.data() + ((window_size - 1) * id + 1) * rows;
-      for (size_t r = 0; r < rows; ++r) {
-        wx[r] = px[r];
-        wy[r] = py[r];
-      }
-      if (input_dim == 3) {
-        double* wt =
-            scratch.window.data() + ((window_size - 1) * id + 2) * rows;
-        const double tod = time_of_day(t);
-        for (size_t r = 0; r < rows; ++r) wt[r] = tod;
-      }
-      ++produced;
+
+  // The whole autoregressive horizon in one engine call (one region).
+  engine.Rollout(row_params, static_cast<int>(window_size),
+                 scratch.window.data(), horizon_steps,
+                 input_dim == 3 ? scratch.step_tod.data() : nullptr,
+                 scratch.preds.data(), scratch.engine);
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<geo::TimedPoint>& row = (*out)[r];
+    row.resize(steps);
+    for (size_t s = 0; s < steps; ++s) {
+      const double px = scratch.preds[(s * 2 + 0) * rows + r];
+      const double py = scratch.preds[(s * 2 + 1) * rows + r];
+      row[s] = {grid.Denormalize({px, py}), scratch.step_times[s]};
     }
   }
 }

@@ -26,25 +26,28 @@ std::vector<geo::TimedPoint> RolloutPredict(
     nn::PredictScratch* scratch = nullptr);
 
 /// Cross-batch state for RolloutPredictBatch: the engine scratch plus the
-/// fleet-wide SoA sliding window and prediction buffers. Grow-only — the
-/// simulator keeps one for its whole run, so steady-state batches are
-/// allocation-free.
+/// fleet-wide SoA observation windows, the per-step timestamps and the
+/// prediction buffer. Grow-only — the simulator keeps one for its whole
+/// run, so steady-state batches are allocation-free.
 struct FleetForecastScratch {
   nn::BatchedSeq2SeqScratch engine;
-  std::vector<double> window;  // [seq_len][input_dim][rows], row-ordered.
-  std::vector<double> preds;   // [seq_out][output_dim][rows].
+  std::vector<double> window;      // [seq_len][input_dim][rows], row-ordered.
+  std::vector<double> step_times;  // [horizon] timestamps (min).
+  std::vector<double> step_tod;    // [horizon] their time-of-day features.
+  std::vector<double> preds;       // [horizon][2][rows].
 };
 
-/// Fleet-batched RolloutPredict: one autoregressive rollout for all rows
-/// at once through the SoA BatchedSeq2Seq engine. Row r's output is
-/// bitwise identical to
+/// Fleet-batched RolloutPredict: one BatchedSeq2Seq::Rollout call — one
+/// parallel region — runs the whole horizon for every row, each tile
+/// sliding its own windows. Row r's output is bitwise identical to
 ///   RolloutPredict(model, *row_params[r], recent_km[r], ...)
 /// for an EncoderDecoder sharing `engine`'s config — the window
 /// normalization, time-of-day feature, denormalization and window slide
 /// are element-wise identical, and the engine preserves the scalar
 /// per-element dot-product order. All rows must share one window length
-/// (the simulator's observation window is uniform by construction).
-/// `(*out)[r]` receives row r's horizon_steps predicted points.
+/// (the simulator's observation window is uniform by construction), and
+/// the model must predict (x, y). `(*out)[r]` receives row r's
+/// horizon_steps predicted points.
 void RolloutPredictBatch(
     const nn::BatchedSeq2Seq& engine,
     const std::vector<const std::vector<double>*>& row_params,

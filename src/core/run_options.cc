@@ -67,8 +67,11 @@ Status ParseIntFlag(const std::string& value, const std::string& flag,
 }  // namespace
 
 Status RunOptions::Validate() const {
-  if (threads < 0) {
-    return Status::InvalidArgument("threads must be >= 0 (0 = default)");
+  if (threads < 0 || threads > kMaxParallelThreads) {
+    return Status::InvalidArgument(
+        "threads (--threads) must be in [0, " +
+        std::to_string(kMaxParallelThreads) + "] (0 = default), got " +
+        std::to_string(threads));
   }
   // Every floating-point field first: NaN passes every `<` range check
   // below, and +inf passes the `> 0` ones.

@@ -46,10 +46,11 @@ struct RunOptions {
   int threads = 0;
   OutputSinks sinks;
 
-  /// Checks every field is in range (thread count non-negative, every
-  /// floating-point field finite, simulator windows/radii positive, GGPSO
-  /// rates in [0,1], no duplicate methods, ...). InvalidArgument with a
-  /// field-naming message on the first violation.
+  /// Checks every field is in range (thread count in
+  /// [0, kMaxParallelThreads], every floating-point field finite,
+  /// simulator windows/radii positive, GGPSO rates in [0,1], no duplicate
+  /// methods, ...). InvalidArgument with a field-naming message on the
+  /// first violation.
   Status Validate() const;
 };
 

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "core/rollout.h"
 #include "geo/trajectory.h"
@@ -115,10 +114,9 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
   available_hist.Record(static_cast<double>(available.size()));
 
   // Build the batch views. The autoregressive forecast dominates this
-  // block: the fan-out only collects each worker's recent observations,
-  // then ONE fleet-wide SoA rollout forecasts every row. Every write is
-  // slot-indexed, so the batch order (and thus the assignment input) is
-  // identical to the serial loop.
+  // block: a plain loop collects each worker's recent observations (a few
+  // microseconds — less than opening a pool region), then ONE fleet-wide
+  // SoA rollout forecasts every row in one region.
   std::vector<assign::SpatialTask> batch_tasks(pool.begin(), pool.end());
   std::vector<assign::CandidateWorker> batch_workers(available.size());
   std::vector<geo::Trajectory> real_futures(available.size());
@@ -133,7 +131,7 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
   }
   Stopwatch forecast_watch;
   std::optional<obs::TraceSpan> forecast_span(std::in_place, "sim.forecast");
-  ParallelFor(available.size(), [&](size_t a) {
+  for (size_t a = 0; a < available.size(); ++a) {
     const size_t wi = static_cast<size_t>(available[a]);
     const data::WorkerRecord& record = workers[wi];
     assign::CandidateWorker cw;
@@ -157,11 +155,12 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
     batch_workers[a] = std::move(cw);
     // The oracle's and the acceptance test's view of reality.
     real_futures[a] = record.test.Slice(now, now + horizon_min);
-  });
+  }
   if (predicts) {
-    // The fleet-level forecast call: one batched rollout for every row,
-    // reusing the engine scratch across batches. core::RolloutPredict, the
-    // per-worker scalar chain, is its oracle in nn_batched_forecast_test.
+    // The fleet-level forecast call: one batched rollout (one parallel
+    // region) for every row, reusing the engine scratch across batches.
+    // core::RolloutPredict, the per-worker scalar chain, is its oracle in
+    // nn_batched_forecast_test.
     RolloutPredictBatch(batched_model_, forecast_params_, forecast_recents_,
                         workload_.grid, config_.prediction_horizon_steps, now,
                         config_.sample_period_min, forecast_scratch_,

@@ -162,7 +162,7 @@ class BatchAssignStep {
   /// Observation window length (matches the training seq_in).
   int observe_steps_ = 5;
   /// Fleet-batched forecast engine + its cross-batch scratch (SoA windows,
-  /// tile plan, gate matrices).
+  /// tile plan, outputs).
   nn::BatchedSeq2Seq batched_model_;
   FleetForecastScratch forecast_scratch_;
   std::vector<const std::vector<double>*> forecast_params_;

@@ -12,6 +12,105 @@ namespace {
 
 double Sigmoid(double v) { return 1.0 / (1.0 + std::exp(-v)); }
 
+/// One tile's recurrent state, every buffer with the tile width as stride.
+/// A tile runs start to finish on one thread, so RunTile keeps one of
+/// these per thread (grow-only thread_local): nothing in it is shared.
+struct TileState {
+  std::vector<double> window;  // Ring of seq_in steps [step][input_dim][w].
+  std::vector<double> x;       // Decoder's first input [output_dim][w].
+  std::vector<double> h;       // Hidden state [hidden][w].
+  std::vector<double> c;       // Cell state [hidden][w].
+  std::vector<double> z;       // Gate pre-activations [4 hidden][w].
+  std::vector<double> pred;    // One pass's outputs [seq_out][output_dim][w].
+};
+
+/// Columns accumulated together in registers by RowTimesTile.
+constexpr size_t kColBlock = 4;
+
+/// One output row over a tile's columns: out[col] = bias + w1 . in1[:, col]
+/// + w2 . in2[:, col], where in1/in2 are [n1]/[n2] x width feature-major
+/// blocks. Per column the chain is exactly the scalar one — acc = bias,
+/// then w1[k] * in1[k] in ascending k, then w2 — with kColBlock columns'
+/// accumulators kept in registers and the weight element shared across
+/// them; a 1-column tile runs the trailing single-column loop, which is
+/// the scalar chain itself.
+void RowTimesTile(double bias, const double* w1, const double* in1,
+                  size_t n1, const double* w2, const double* in2, size_t n2,
+                  size_t width, double* out) {
+  size_t col = 0;
+  for (; col + kColBlock <= width; col += kColBlock) {
+    double acc[kColBlock];
+    for (size_t j = 0; j < kColBlock; ++j) acc[j] = bias;
+    for (size_t k = 0; k < n1; ++k) {
+      const double w = w1[k];
+      const double* src = in1 + k * width + col;
+      for (size_t j = 0; j < kColBlock; ++j) acc[j] += w * src[j];
+    }
+    for (size_t k = 0; k < n2; ++k) {
+      const double w = w2[k];
+      const double* src = in2 + k * width + col;
+      for (size_t j = 0; j < kColBlock; ++j) acc[j] += w * src[j];
+    }
+    for (size_t j = 0; j < kColBlock; ++j) out[col + j] = acc[j];
+  }
+  for (; col < width; ++col) {
+    double acc = bias;
+    for (size_t k = 0; k < n1; ++k) acc += w1[k] * in1[k * width + col];
+    for (size_t k = 0; k < n2; ++k) acc += w2[k] * in2[k * width + col];
+    out[col] = acc;
+  }
+}
+
+/// z = W_x x + W_h h_prev + b over one tile, gate blocks [i f g o], then
+/// the element-wise gate update of h/c. One parameter vector serves the
+/// whole tile, so every weight row is a GEMM row against the tile's
+/// columns. Per column the accumulation chain is exactly
+/// LstmCell::Forward's: b[r], then W_x row r in ascending k, then W_h row
+/// r in ascending k.
+void CellStep(const LstmCell& cell, const double* params, const double* x,
+              size_t width, TileState& s) {
+  const size_t id = static_cast<size_t>(cell.input_dim());
+  const size_t hd = static_cast<size_t>(cell.hidden_dim());
+  const size_t h4 = 4 * hd;
+  const double* wx = params + cell.offset();
+  const double* wh = wx + h4 * id;
+  const double* b = wh + h4 * hd;
+  double* z = s.z.data();
+  double* h = s.h.data();
+  double* c = s.c.data();
+  for (size_t r = 0; r < h4; ++r) {
+    RowTimesTile(b[r], wx + r * id, x, id, wh + r * hd, h, hd, width,
+                 z + r * width);
+  }
+
+  // Element-wise gate update (independent per (k, col) element, so any
+  // loop order preserves bit-identity with the scalar path).
+  for (size_t k = 0; k < hd; ++k) {
+    for (size_t col = 0; col < width; ++col) {
+      const double iv = Sigmoid(z[k * width + col]);
+      const double fv = Sigmoid(z[(hd + k) * width + col]);
+      const double gv = std::tanh(z[(2 * hd + k) * width + col]);
+      const double ov = Sigmoid(z[(3 * hd + k) * width + col]);
+      const double cv = fv * c[k * width + col] + iv * gv;
+      c[k * width + col] = cv;
+      h[k * width + col] = ov * std::tanh(cv);
+    }
+  }
+}
+
+/// Readout y = W h + b over one tile into `dst` [output_dim][width].
+void ReadoutStep(const Linear& readout, const double* params,
+                 const double* h, size_t width, double* dst) {
+  const size_t in = static_cast<size_t>(readout.in_dim());
+  const size_t out = static_cast<size_t>(readout.out_dim());
+  const double* w = params + readout.offset();
+  const double* b = w + out * in;
+  for (size_t r = 0; r < out; ++r) {
+    RowTimesTile(b[r], w + r * in, h, in, nullptr, nullptr, 0, width,
+                 dst + r * width);
+  }
+}
+
 }  // namespace
 
 BatchedSeq2Seq::BatchedSeq2Seq(const Seq2SeqConfig& config)
@@ -51,219 +150,114 @@ void BatchedSeq2Seq::PlanBatch(
     scratch.group_rows[it->second].push_back(static_cast<int>(r));
   }
 
-  // Lay the groups out as columns: multi-row groups become `shared` tiles
-  // (one weight fetch serves the whole tile: GEMM); runs of consecutive
-  // single-row groups are packed together into mixed tiles (blocked
-  // batched GEMV) so a fully fine-tuned fleet still amortizes loop
-  // overhead across kTileCols workers per kernel.
+  // Lay the groups out as consecutive columns and chunk each group into
+  // tiles of at most kTileCols columns; a singleton is a 1-column tile.
   scratch.col_row.clear();
-  scratch.col_params.clear();
   scratch.tiles.clear();
-  size_t mixed_start = 0;  // First column of the open mixed run.
-  auto flush_mixed = [&scratch, &mixed_start](size_t end) {
-    for (size_t b = mixed_start; b < end; b += kTileCols) {
-      scratch.tiles.push_back({b, std::min(end, b + kTileCols), false});
-    }
-    mixed_start = end;
-  };
   for (size_t g = 0; g < n_groups; ++g) {
     const std::vector<int>& members = scratch.group_rows[g];
-    if (members.size() == 1) {
-      scratch.col_row.push_back(members[0]);
-      scratch.col_params.push_back(row_params[static_cast<size_t>(members[0])]);
-      continue;  // Stays in the open mixed run.
-    }
-    flush_mixed(scratch.col_row.size());
+    const std::vector<double>* params =
+        row_params[static_cast<size_t>(members[0])];
     const size_t group_begin = scratch.col_row.size();
-    for (int r : members) {
-      scratch.col_row.push_back(r);
-      scratch.col_params.push_back(row_params[static_cast<size_t>(r)]);
+    scratch.col_row.insert(scratch.col_row.end(), members.begin(),
+                           members.end());
+    const size_t group_end = scratch.col_row.size();
+    for (size_t b = group_begin; b < group_end; b += kTileCols) {
+      scratch.tiles.push_back({b, std::min(group_end, b + kTileCols), params});
     }
-    for (size_t b = group_begin; b < scratch.col_row.size(); b += kTileCols) {
-      scratch.tiles.push_back(
-          {b, std::min(scratch.col_row.size(), b + kTileCols), true});
-    }
-    mixed_start = scratch.col_row.size();
   }
-  flush_mixed(scratch.col_row.size());
   TAMP_CHECK(scratch.col_row.size() == rows);
 }
 
-void BatchedSeq2Seq::CellStep(const LstmCell& cell,
-                              const BatchedSeq2SeqScratch::Tile& tile,
-                              size_t width,
-                              BatchedSeq2SeqScratch& scratch) const {
-  const size_t id = static_cast<size_t>(cell.input_dim());
-  const size_t hd = static_cast<size_t>(cell.hidden_dim());
-  const size_t h4 = 4 * hd;
-  const size_t begin = tile.begin;
-  const size_t end = tile.end;
-  double* z = scratch.z.data();
-  double* h = scratch.h.data();
-  double* c = scratch.c.data();
-  const double* x = scratch.x.data();
-
-  // z = W_x x + W_h h_prev + b, gate blocks [i f g o]. Per column the
-  // accumulation chain is exactly LstmCell::Forward's: b[r], then W_x row
-  // r in ascending k, then W_h row r in ascending k.
-  if (tile.shared) {
-    // One parameter vector for the whole tile: the weight element is a
-    // loop invariant across columns (true GEMM, r-k-col loop order).
-    const double* wx = scratch.col_params[begin]->data() + cell.offset();
-    const double* wh = wx + h4 * id;
-    const double* b = wh + h4 * hd;
-    for (size_t r = 0; r < h4; ++r) {
-      double* zr = z + r * width;
-      const double br = b[r];
-      for (size_t col = begin; col < end; ++col) zr[col] = br;
-      const double* wxr = wx + r * id;
-      for (size_t k = 0; k < id; ++k) {
-        const double w = wxr[k];
-        const double* xk = x + k * width;
-        for (size_t col = begin; col < end; ++col) zr[col] += w * xk[col];
-      }
-      const double* whr = wh + r * hd;
-      for (size_t k = 0; k < hd; ++k) {
-        const double w = whr[k];
-        const double* hk = h + k * width;
-        for (size_t col = begin; col < end; ++col) zr[col] += w * hk[col];
-      }
-    }
-  } else {
-    // Distinct parameters per column: batched GEMV, one column at a time
-    // against the SoA state (col-r-k loop order).
-    for (size_t col = begin; col < end; ++col) {
-      const double* wx = scratch.col_params[col]->data() + cell.offset();
-      const double* wh = wx + h4 * id;
-      const double* b = wh + h4 * hd;
-      for (size_t r = 0; r < h4; ++r) {
-        double acc = b[r];
-        const double* wxr = wx + r * id;
-        for (size_t k = 0; k < id; ++k) acc += wxr[k] * x[k * width + col];
-        const double* whr = wh + r * hd;
-        for (size_t k = 0; k < hd; ++k) acc += whr[k] * h[k * width + col];
-        z[r * width + col] = acc;
-      }
-    }
-  }
-
-  // Element-wise gate update (independent per (k, col) element, so any
-  // loop order preserves bit-identity with the scalar path).
-  for (size_t k = 0; k < hd; ++k) {
-    for (size_t col = begin; col < end; ++col) {
-      const double iv = Sigmoid(z[k * width + col]);
-      const double fv = Sigmoid(z[(hd + k) * width + col]);
-      const double gv = std::tanh(z[(2 * hd + k) * width + col]);
-      const double ov = Sigmoid(z[(3 * hd + k) * width + col]);
-      const double cv = fv * c[k * width + col] + iv * gv;
-      c[k * width + col] = cv;
-      h[k * width + col] = ov * std::tanh(cv);
-    }
-  }
-}
-
-void BatchedSeq2Seq::ReadoutStep(const BatchedSeq2SeqScratch::Tile& tile,
-                                 size_t width, double* dst,
-                                 BatchedSeq2SeqScratch& scratch) const {
-  const size_t in = static_cast<size_t>(readout_.in_dim());
-  const size_t out = static_cast<size_t>(readout_.out_dim());
-  const size_t begin = tile.begin;
-  const size_t end = tile.end;
-  const double* h = scratch.h.data();
-  if (tile.shared) {
-    const double* w = scratch.col_params[begin]->data() + readout_.offset();
-    const double* b = w + out * in;
-    for (size_t r = 0; r < out; ++r) {
-      double* dr = dst + r * width;
-      const double br = b[r];
-      for (size_t col = begin; col < end; ++col) dr[col] = br;
-      const double* wr = w + r * in;
-      for (size_t k = 0; k < in; ++k) {
-        const double wv = wr[k];
-        const double* hk = h + k * width;
-        for (size_t col = begin; col < end; ++col) dr[col] += wv * hk[col];
-      }
-    }
-  } else {
-    for (size_t col = begin; col < end; ++col) {
-      const double* w = scratch.col_params[col]->data() + readout_.offset();
-      const double* b = w + out * in;
-      for (size_t r = 0; r < out; ++r) {
-        double acc = b[r];
-        const double* wr = w + r * in;
-        for (size_t k = 0; k < in; ++k) acc += wr[k] * h[k * width + col];
-        dst[r * width + col] = acc;
-      }
-    }
-  }
-}
-
 void BatchedSeq2Seq::RunTile(const BatchedSeq2SeqScratch::Tile& tile,
-                             size_t width, int seq_in, const double* inputs,
+                             size_t rows, int seq_in, const double* inputs,
+                             int horizon, const double* step_features,
                              BatchedSeq2SeqScratch& scratch) const {
   const size_t id = static_cast<size_t>(config_.input_dim);
   const size_t hd = static_cast<size_t>(config_.hidden_dim);
   const size_t od = static_cast<size_t>(config_.output_dim);
   const size_t in_steps = static_cast<size_t>(seq_in);
   const size_t seq_out = static_cast<size_t>(config_.seq_out);
-  const size_t begin = tile.begin;
-  const size_t end = tile.end;
-  double* x = scratch.x.data();
-  double* h = scratch.h.data();
-  double* c = scratch.c.data();
+  const size_t steps = static_cast<size_t>(horizon);
+  const size_t width = tile.end - tile.begin;
+  const double* params = tile.params->data();
+  const int* col_row = scratch.col_row.data() + tile.begin;
 
-  for (size_t k = 0; k < hd; ++k) {
-    for (size_t col = begin; col < end; ++col) {
-      h[k * width + col] = 0.0;
-      c[k * width + col] = 0.0;
+  thread_local TileState s;
+  s.window.resize(in_steps * id * width);
+  s.x.resize(od * width);
+  s.h.resize(hd * width);
+  s.c.resize(hd * width);
+  s.z.resize(4 * hd * width);
+  s.pred.resize(seq_out * od * width);
+  double* window = s.window.data();
+
+  // Gather the tile's windows out of the caller's row order.
+  for (size_t f = 0; f < in_steps * id; ++f) {
+    const double* src = inputs + f * rows;
+    double* dst = window + f * width;
+    for (size_t j = 0; j < width; ++j) {
+      dst[j] = src[static_cast<size_t>(col_row[j])];
     }
   }
 
-  // Encoder: gather each step's caller-row-ordered inputs into the tile's
-  // columns, then one fused cell step.
-  for (size_t t = 0; t < in_steps; ++t) {
-    for (size_t k = 0; k < id; ++k) {
-      const double* src = inputs + (t * id + k) * width;
-      double* xk = x + k * width;
-      for (size_t col = begin; col < end; ++col) {
-        xk[col] = src[static_cast<size_t>(scratch.col_row[col])];
-      }
+  double* out = scratch.out.data() + tile.begin * steps * od;
+  const size_t fed = std::min(id, od);         // Predictions fed back.
+  const size_t extra = id > od ? id - od : 0;  // Step features per step.
+  size_t head = 0;  // Ring slot of the window's oldest step.
+  size_t produced = 0;
+  while (produced < steps) {
+    std::fill(s.h.begin(), s.h.end(), 0.0);
+    std::fill(s.c.begin(), s.c.end(), 0.0);
+    for (size_t t = 0; t < in_steps; ++t) {
+      CellStep(encoder_, params,
+               window + ((head + t) % in_steps) * id * width, width, s);
     }
-    CellStep(encoder_, tile, width, scratch);
-  }
 
-  // Decoder: the first input is the last observed step resized to
-  // output_dim (truncate or zero-pad, like EncoderDecoder::RunForward);
-  // later inputs are the previous prediction.
-  for (size_t k = 0; k < od; ++k) {
-    double* xk = x + k * width;
-    if (k < id) {
-      const double* src = inputs + ((in_steps - 1) * id + k) * width;
-      for (size_t col = begin; col < end; ++col) {
-        xk[col] = src[static_cast<size_t>(scratch.col_row[col])];
+    // Decoder: the first input is the last observed step resized to
+    // output_dim (truncate or zero-pad, like EncoderDecoder::RunForward);
+    // later inputs are the previous prediction.
+    const double* last =
+        window + ((head + in_steps - 1) % in_steps) * id * width;
+    for (size_t k = 0; k < od; ++k) {
+      double* xk = s.x.data() + k * width;
+      if (k < id) {
+        std::copy(last + k * width, last + (k + 1) * width, xk);
+      } else {
+        std::fill(xk, xk + width, 0.0);
       }
-    } else {
-      for (size_t col = begin; col < end; ++col) xk[col] = 0.0;
     }
-  }
-  for (size_t t = 0; t < seq_out; ++t) {
-    CellStep(decoder_, tile, width, scratch);
-    double* step_out = scratch.out.data() + t * od * width;
-    ReadoutStep(tile, width, step_out, scratch);
-    if (t + 1 < seq_out) {
-      for (size_t k = 0; k < od; ++k) {
-        const double* src = step_out + k * width;
-        double* xk = x + k * width;
-        for (size_t col = begin; col < end; ++col) xk[col] = src[col];
+    for (size_t t = 0; t < seq_out; ++t) {
+      const double* x =
+          t == 0 ? s.x.data() : s.pred.data() + (t - 1) * od * width;
+      CellStep(decoder_, params, x, width, s);
+      ReadoutStep(readout_, params, s.h.data(), width,
+                  s.pred.data() + t * od * width);
+    }
+
+    // Emit the pass's steps. When another pass follows, each produced step
+    // also slides the window: it overwrites the oldest slot (the
+    // prediction, then its step features) and becomes the newest.
+    const bool feed_back = produced + seq_out < steps;
+    for (size_t t = 0; t < seq_out && produced < steps; ++t, ++produced) {
+      const double* p = s.pred.data() + t * od * width;
+      std::copy(p, p + od * width, out + produced * od * width);
+      if (!feed_back) continue;
+      double* slot = window + head * id * width;
+      std::copy(p, p + fed * width, slot);
+      for (size_t e = 0; e < extra; ++e) {
+        std::fill(slot + (od + e) * width, slot + (od + e + 1) * width,
+                  step_features[produced * extra + e]);
       }
+      head = (head + 1) % in_steps;
     }
   }
 }
 
-void BatchedSeq2Seq::Forward(
+void BatchedSeq2Seq::Rollout(
     const std::vector<const std::vector<double>*>& row_params, int seq_in,
-    const double* inputs, double* outputs,
-    BatchedSeq2SeqScratch& scratch) const {
+    const double* inputs, int horizon, const double* step_features,
+    double* outputs, BatchedSeq2SeqScratch& scratch) const {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& cells_counter =
       registry.GetCounter("nn.forecast_cells");
@@ -274,43 +268,46 @@ void BatchedSeq2Seq::Forward(
   const size_t rows = row_params.size();
   if (rows == 0) return;
   TAMP_CHECK(seq_in >= 1);
-  PlanBatch(row_params, scratch);
-
-  const size_t id = static_cast<size_t>(config_.input_dim);
-  const size_t hd = static_cast<size_t>(config_.hidden_dim);
+  TAMP_CHECK(horizon >= 1);
   const size_t od = static_cast<size_t>(config_.output_dim);
   const size_t seq_out = static_cast<size_t>(config_.seq_out);
-  const size_t x_rows = std::max(id, od);
-  scratch.x.resize(x_rows * rows);
-  scratch.h.resize(hd * rows);
-  scratch.c.resize(hd * rows);
-  scratch.z.resize(4 * hd * rows);
-  scratch.out.resize(seq_out * od * rows);
+  const size_t steps = static_cast<size_t>(horizon);
+  const size_t passes = (steps + seq_out - 1) / seq_out;
+  TAMP_CHECK_MSG(passes == 1 || config_.input_dim <= config_.output_dim ||
+                     step_features != nullptr,
+                 "a multi-pass rollout needs the fed-back steps' features");
+  PlanBatch(row_params, scratch);
+  scratch.out.resize(steps * od * rows);
 
   // Deterministic work accounting, centralized so the totals are exact and
-  // thread-invariant: every row pays (seq_in + seq_out) cell steps (the
-  // scalar path's LstmCell::Forward call count), and every tile launches
+  // thread-invariant: every pass costs each row (seq_in + seq_out) cell
+  // steps (the scalar path's LstmCell::Forward call count), and each tile
   // one fused gate kernel per cell step plus one readout kernel per
   // decoder step.
   const size_t cell_steps = static_cast<size_t>(seq_in) + seq_out;
-  cells_counter.Increment(static_cast<int64_t>(rows * cell_steps));
-  gemm_counter.Increment(
-      static_cast<int64_t>(scratch.tiles.size() * (cell_steps + seq_out)));
-  rows_counter.Increment(static_cast<int64_t>(rows));
+  cells_counter.Increment(static_cast<int64_t>(rows * passes * cell_steps));
+  gemm_counter.Increment(static_cast<int64_t>(
+      scratch.tiles.size() * passes * (cell_steps + seq_out)));
+  rows_counter.Increment(static_cast<int64_t>(rows * passes));
 
-  // Tiles write disjoint column ranges of the shared SoA buffers, so the
-  // fan-out is race-free and the result thread-count independent.
+  // One region for the whole rollout. Tiles run on tile-private state and
+  // write disjoint blocks of scratch.out, so the fan-out is race-free and
+  // the result thread-count independent.
   ParallelFor(scratch.tiles.size(), [&](size_t ti) {
-    RunTile(scratch.tiles[ti], rows, seq_in, inputs, scratch);
+    RunTile(scratch.tiles[ti], rows, seq_in, inputs, horizon, step_features,
+            scratch);
   });
 
-  // Scatter column-ordered outputs back to caller row order.
-  for (size_t t = 0; t < seq_out; ++t) {
-    for (size_t k = 0; k < od; ++k) {
-      const double* src = scratch.out.data() + (t * od + k) * rows;
-      double* dst = outputs + (t * od + k) * rows;
-      for (size_t col = 0; col < rows; ++col) {
-        dst[static_cast<size_t>(scratch.col_row[col])] = src[col];
+  // Scatter the tile-major blocks back to caller row order.
+  for (const BatchedSeq2SeqScratch::Tile& tile : scratch.tiles) {
+    const size_t width = tile.end - tile.begin;
+    const double* block = scratch.out.data() + tile.begin * steps * od;
+    const int* col_row = scratch.col_row.data() + tile.begin;
+    for (size_t f = 0; f < steps * od; ++f) {
+      double* dst = outputs + f * rows;
+      const double* src = block + f * width;
+      for (size_t j = 0; j < width; ++j) {
+        dst[static_cast<size_t>(col_row[j])] = src[j];
       }
     }
   }

@@ -11,34 +11,30 @@ namespace tamp::nn {
 /// Reusable state for BatchedSeq2Seq (DESIGN.md §4i). Grow-only: holding
 /// one scratch across batches (the simulator keeps one for the whole run)
 /// amortizes every buffer here.
-/// Contents never influence results — each Forward fully overwrites what
-/// it reads — so reuse is bit-safe by construction.
+/// Contents never influence results — each call fully overwrites what it
+/// reads — so reuse is bit-safe by construction. The recurrent state of a
+/// tile is not here: it is tile-private (see BatchedSeq2Seq::Rollout).
 struct BatchedSeq2SeqScratch {
-  /// One contiguous column range processed by one kernel chain. `shared`
-  /// tiles cover rows of a single parameter vector (the weight row is a
-  /// loop invariant: a true GEMM); mixed tiles pack runs of
-  /// distinct-parameter rows (blocked batched GEMV).
+  /// One contiguous column range of a single parameter group, at most
+  /// kTileCols wide. A singleton group is a 1-column tile.
   struct Tile {
     size_t begin = 0;
     size_t end = 0;
-    bool shared = false;
+    const std::vector<double>* params = nullptr;
   };
 
-  // Batch plan, rebuilt by every Forward.
+  // Batch plan, rebuilt by every call.
   std::vector<int> col_row;  // column -> caller row index.
-  std::vector<const std::vector<double>*> col_params;
   std::vector<Tile> tiles;
   // Grouping helpers (the map is lookup-only, never iterated).
   std::unordered_map<const std::vector<double>*, size_t> group_index;
   std::vector<std::vector<int>> group_rows;
 
-  // SoA state, feature-major [feature][column] with the batch width as
-  // stride so the per-worker inner loops are contiguous.
-  std::vector<double> x;    // Current step inputs.
-  std::vector<double> h;    // Hidden state.
-  std::vector<double> c;    // Cell state.
-  std::vector<double> z;    // Gate pre-activations [4H][W].
-  std::vector<double> out;  // Decoder outputs [seq_out][output_dim][W].
+  /// Tile-major outputs: the tile over columns [begin, end) owns the
+  /// contiguous block at begin * horizon * output_dim, laid out
+  /// [step][feature][end - begin]. Scattered to caller row order after the
+  /// region.
+  std::vector<double> out;
 
   // PredictBatch packing buffers.
   std::vector<double> pack_in;
@@ -46,18 +42,21 @@ struct BatchedSeq2SeqScratch {
 };
 
 /// Fleet-batched LSTM encoder-decoder inference over the EncoderDecoder
-/// parameter layout: packs every row's (= worker's / sample's) hidden and
-/// cell state plus per-step inputs into structure-of-arrays matrices and
-/// runs each encoder/decoder timestep as one fused gate kernel per column
-/// tile instead of one scalar LstmCell::Forward chain per row.
+/// parameter layout: runs every row's (= worker's / sample's) encode and
+/// decode as one fused gate kernel per timestep per column tile instead of
+/// one scalar LstmCell::Forward chain per row.
 ///
 /// Rows are grouped by parameter-vector identity (first-occurrence order,
-/// deterministic). Groups of >= 2 rows — e.g. cluster predictors before
-/// fine-tune, or one worker's eval samples — share their weights across
-/// the tile, making each gate kernel a true GEMM; runs of
-/// distinct-parameter rows are packed into fixed-width mixed tiles and
-/// run as blocked batched GEMVs. Tiles are kTileCols wide regardless of
-/// thread count, so the nn.* work counters are thread-invariant.
+/// deterministic) and every group is chunked into tiles of at most
+/// kTileCols columns. Within a tile the weights are shared, so each gate
+/// kernel is a GEMM with the weight element a loop invariant across the
+/// tile's columns (`r-k-col` order); a singleton group — every fine-tuned
+/// worker — is a 1-column tile, for which that loop order is the scalar
+/// chain itself. Tiles are one fan-out: each runs its whole autoregressive
+/// rollout on tile-private state whose stride is the tile width, so no two
+/// threads write neighbouring columns of a shared array. The tile plan is a
+/// pure function of the row->params map, so the nn.* work counters are
+/// thread-invariant.
 ///
 /// Bit-identity contract: for every output element the floating-point
 /// operation chain is exactly the scalar path's — acc starts at b[r],
@@ -65,8 +64,8 @@ struct BatchedSeq2SeqScratch {
 /// against h_prev in ascending k; gates apply the same Sigmoid/tanh
 /// element-wise. Batching only interchanges loops *across* independent
 /// elements, so predictions are bitwise identical to
-/// EncoderDecoder::Predict (asserted by tests/nn_batched_forecast_test.cc
-/// on both datasets at 1 and 4 threads).
+/// EncoderDecoder::Predict and core::RolloutPredict (asserted by
+/// tests/nn_batched_forecast_test.cc at 1 to 8 threads).
 class BatchedSeq2Seq {
  public:
   explicit BatchedSeq2Seq(const Seq2SeqConfig& config);
@@ -74,19 +73,42 @@ class BatchedSeq2Seq {
   const Seq2SeqConfig& config() const { return config_; }
   size_t param_count() const { return param_count_; }
 
-  /// Columns per tile. Fixed (not derived from the thread count) so the
-  /// deterministic work counters gate exact values in the bench JSON.
+  /// Widest tile. Fixed (not derived from the thread count) so the
+  /// deterministic work counters gate exact values in the bench JSON;
+  /// only a shared parameter group of more than one row fills more than
+  /// one column.
   static constexpr size_t kTileCols = 64;
 
-  /// One batched encode+decode pass. `row_params[r]` is row r's full
-  /// parameter vector (EncoderDecoder layout, param_count() long).
-  /// `inputs` is caller-row-ordered SoA [seq_in][input_dim][R]; `outputs`
-  /// (caller-allocated, [seq_out][output_dim][R]) receives the seq_out
-  /// predicted steps per row. Increments nn.forecast_cells /
-  /// nn.batched_gemm_calls / nn.batch_rows.
+  /// Autoregressive batched rollout of `horizon` predicted steps per row,
+  /// in one ParallelFor over the tiles. Each pass encodes a row's
+  /// seq_in-step window and decodes seq_out steps; before the next pass
+  /// every produced step is appended to the window and its oldest step is
+  /// dropped. The appended step is the prediction's first
+  /// min(input_dim, output_dim) features followed by `step_features` for
+  /// that step: [horizon][input_dim - output_dim], shared by every row
+  /// (the rollout's time-of-day), and may be null when a single pass
+  /// covers the horizon or input_dim <= output_dim.
+  ///
+  /// `row_params[r]` is row r's full parameter vector (EncoderDecoder
+  /// layout, param_count() long). `inputs` is caller-row-ordered SoA
+  /// [seq_in][input_dim][R]; `outputs` (caller-allocated,
+  /// [horizon][output_dim][R]) receives the predicted steps. Increments
+  /// nn.forecast_cells / nn.batched_gemm_calls / nn.batch_rows once per
+  /// pass, so a rollout counts exactly what ceil(horizon / seq_out)
+  /// one-pass calls would.
+  void Rollout(const std::vector<const std::vector<double>*>& row_params,
+               int seq_in, const double* inputs, int horizon,
+               const double* step_features, double* outputs,
+               BatchedSeq2SeqScratch& scratch) const;
+
+  /// One encode+decode pass: Rollout with horizon = seq_out. `outputs` is
+  /// [seq_out][output_dim][R].
   void Forward(const std::vector<const std::vector<double>*>& row_params,
                int seq_in, const double* inputs, double* outputs,
-               BatchedSeq2SeqScratch& scratch) const;
+               BatchedSeq2SeqScratch& scratch) const {
+    Rollout(row_params, seq_in, inputs, config_.seq_out,
+            /*step_features=*/nullptr, outputs, scratch);
+  }
 
   /// Sequence-level convenience wrapper over Forward for callers holding
   /// per-row nn::Sequence inputs (meta evaluation, tests). All inputs must
@@ -101,22 +123,13 @@ class BatchedSeq2Seq {
   void PlanBatch(const std::vector<const std::vector<double>*>& row_params,
                  BatchedSeq2SeqScratch& scratch) const;
 
-  /// Runs the whole encode+decode for one tile's column range. Tiles touch
-  /// disjoint columns of the shared SoA buffers, so they fan out across
-  /// the deterministic pool with no synchronization.
-  void RunTile(const BatchedSeq2SeqScratch::Tile& tile, size_t width,
-               int seq_in, const double* inputs,
+  /// Runs one tile's whole rollout on the calling thread's tile-private
+  /// state and writes its [horizon][output_dim][width] block of
+  /// scratch.out. Reads only the caller's inputs and the plan.
+  void RunTile(const BatchedSeq2SeqScratch::Tile& tile, size_t rows,
+               int seq_in, const double* inputs, int horizon,
+               const double* step_features,
                BatchedSeq2SeqScratch& scratch) const;
-
-  /// z = W_x x + W_h h + b for one tile (GEMM when shared, batched GEMV
-  /// otherwise), then the element-wise gate update of h/c.
-  void CellStep(const LstmCell& cell,
-                const BatchedSeq2SeqScratch::Tile& tile, size_t width,
-                BatchedSeq2SeqScratch& scratch) const;
-
-  /// Readout y = W h + b for one tile into `dst` [output_dim][width].
-  void ReadoutStep(const BatchedSeq2SeqScratch::Tile& tile, size_t width,
-                   double* dst, BatchedSeq2SeqScratch& scratch) const;
 
   Seq2SeqConfig config_;
   LstmCell encoder_;

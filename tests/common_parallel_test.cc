@@ -152,13 +152,58 @@ TEST(ParallelThreadCountTest, OverrideWinsAndResetRestoresEnv) {
   EXPECT_GE(ParallelThreadCount(), 1);  // env / hardware fallback
 }
 
+/// Sets TAMP_THREADS for one scope and restores the previous value (or
+/// its absence) on exit, so a failing assertion cannot leave a huge count
+/// in the environment for later regions in this binary.
+class ScopedTampThreadsEnv {
+ public:
+  explicit ScopedTampThreadsEnv(const std::string& value) {
+    const char* saved = std::getenv("TAMP_THREADS");
+    had_value_ = saved != nullptr;
+    if (had_value_) saved_ = saved;
+    setenv("TAMP_THREADS", value.c_str(), 1);
+  }
+  ~ScopedTampThreadsEnv() {
+    if (had_value_) {
+      setenv("TAMP_THREADS", saved_.c_str(), 1);
+    } else {
+      unsetenv("TAMP_THREADS");
+    }
+  }
+
+ private:
+  bool had_value_ = false;
+  std::string saved_;
+};
+
+/// Valid values win; garbage and counts above kMaxParallelThreads fall
+/// back to the hardware default. Checked through ParallelThreadCount()
+/// only: no region is opened at a count above the host's cores.
 TEST(ParallelThreadCountTest, ReadsTampThreadsEnv) {
   SetParallelThreadCount(0);
-  ASSERT_EQ(setenv("TAMP_THREADS", "7", 1), 0);
-  EXPECT_EQ(ParallelThreadCount(), 7);
-  ASSERT_EQ(setenv("TAMP_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(ParallelThreadCount(), 1);  // garbage ignored, fallback
-  ASSERT_EQ(unsetenv("TAMP_THREADS"), 0);
+  int fallback = 0;
+  {
+    ScopedTampThreadsEnv env("");
+    fallback = ParallelThreadCount();
+  }
+  EXPECT_GE(fallback, 1);
+  EXPECT_LE(fallback, kMaxParallelThreads);
+  {
+    ScopedTampThreadsEnv env("7");
+    EXPECT_EQ(ParallelThreadCount(), 7);
+  }
+  {
+    ScopedTampThreadsEnv env("not-a-number");
+    EXPECT_EQ(ParallelThreadCount(), fallback);
+  }
+  {
+    ScopedTampThreadsEnv env(std::to_string(kMaxParallelThreads + 1));
+    EXPECT_EQ(ParallelThreadCount(), fallback);
+  }
+  {
+    ScopedTampThreadsEnv env(std::to_string(kMaxParallelThreads));
+    EXPECT_EQ(ParallelThreadCount(), kMaxParallelThreads);
+  }
 }
 
 TEST(ParallelMapTest, ResultsLandAtTheirIndex) {

@@ -524,6 +524,64 @@ TEST_F(EventBatchParityTest, EventOrderIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_F(EventBatchParityTest, ForecastCountsAndOutcomesThreadInvariant) {
+  // A KM replay of the trained Porto day at 1, 2, 4 and 8 threads: the
+  // fine-tuned fleet forecasts as 1-column tiles, so every trigger's
+  // forecast region really fans out. Outcomes, event counts and the
+  // forecast work counters must not depend on the thread count.
+  const PipelineConfig config = ParityPipeline();
+  nn::EncoderDecoder model(porto_offline_->models.model_config);
+  const std::vector<WorkerPredictor> predictors =
+      PredictorsFor(AssignMethod::kKm, *porto_, *porto_offline_);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& cells = registry.GetCounter("nn.forecast_cells");
+  obs::Counter& gemm = registry.GetCounter("nn.batched_gemm_calls");
+  obs::Counter& rows = registry.GetCounter("nn.batch_rows");
+
+  struct Replay {
+    SimMetrics metrics;
+    EventStats stats;
+    int64_t cells = 0, gemm = 0, rows = 0;
+  };
+  std::vector<Replay> replays;
+  for (int threads : {1, 2, 4, 8}) {
+    ThreadCountGuard guard(threads);
+    BatchAssignStep step(*porto_, model, config.sim);
+    EventSimulator sim(*porto_, config.sim, step);
+    sim.ScheduleBatchTriggers();
+    const int64_t c0 = cells.value();
+    const int64_t g0 = gemm.value();
+    const int64_t r0 = rows.value();
+    Replay replay;
+    replay.metrics = sim.Run(AssignMethod::kKm, predictors);
+    replay.stats = sim.stats();
+    replay.cells = cells.value() - c0;
+    replay.gemm = gemm.value() - g0;
+    replay.rows = rows.value() - r0;
+    replays.push_back(replay);
+  }
+
+  const Replay& serial = replays.front();
+  EXPECT_GT(serial.metrics.assignments, 0);
+  EXPECT_GT(serial.cells, 0);
+  for (size_t i = 1; i < replays.size(); ++i) {
+    const Replay& r = replays[i];
+    ExpectBitwiseEqual(r.metrics, serial.metrics, "threads");
+    EXPECT_EQ(r.stats.events, serial.stats.events) << i;
+    EXPECT_EQ(r.stats.task_arrivals, serial.stats.task_arrivals) << i;
+    EXPECT_EQ(r.stats.task_expiries, serial.stats.task_expiries) << i;
+    EXPECT_EQ(r.stats.worker_logins, serial.stats.worker_logins) << i;
+    EXPECT_EQ(r.stats.worker_completions, serial.stats.worker_completions)
+        << i;
+    EXPECT_EQ(r.stats.assign_triggers, serial.stats.assign_triggers) << i;
+    EXPECT_EQ(r.stats.worker_logouts, serial.stats.worker_logouts) << i;
+    EXPECT_EQ(r.stats.dropouts, serial.stats.dropouts) << i;
+    EXPECT_EQ(r.cells, serial.cells) << i;
+    EXPECT_EQ(r.gemm, serial.gemm) << i;
+    EXPECT_EQ(r.rows, serial.rows) << i;
+  }
+}
+
 TEST_F(EventBatchParityTest, ChurnScenarioRunsAndDropsTasks) {
   // End-to-end smoke of the dynamic-availability path on a generated
   // churn workload: sessions gate assignments, dropouts are recorded, and

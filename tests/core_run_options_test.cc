@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "data/workload.h"
 
 namespace tamp {
@@ -41,10 +42,20 @@ TEST(RunOptionsValidateTest, DefaultsAreValid) {
 }
 
 TEST(RunOptionsValidateTest, RejectsOutOfRangeFields) {
+  // --threads parses over [0, INT_MAX]; Validate() bounds it by
+  // kMaxParallelThreads, so no parsed count can reach the pool.
+  for (int threads : {-1, kMaxParallelThreads + 1,
+                      std::numeric_limits<int>::max()}) {
+    core::RunOptions o;
+    o.threads = threads;
+    Status s = o.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << threads;
+    EXPECT_NE(s.message().find("--threads"), std::string::npos);
+  }
   {
     core::RunOptions o;
-    o.threads = -1;
-    EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
+    o.threads = kMaxParallelThreads;
+    EXPECT_TRUE(o.Validate().ok());
   }
   {
     core::RunOptions o;

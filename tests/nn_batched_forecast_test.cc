@@ -2,9 +2,10 @@
 // (nn::BatchedSeq2Seq), the simulator's and the trainer's only forecast
 // path, against its scalar oracle (EncoderDecoder::Predict and the
 // per-worker core::RolloutPredict): raw PredictBatch vs Predict, the fleet
-// rollout the simulator runs, scratch shrink-then-grow reuse, the
-// trainer's Evaluate, and the thread-invariant work counters. Every
-// comparison is EXPECT_EQ on doubles — exact, not approximate.
+// rollout the simulator runs (also at tile- and pass-boundary shapes),
+// scratch shrink-then-grow reuse, the trainer's Evaluate, and the
+// thread-invariant work counters. Every comparison is EXPECT_EQ on
+// doubles — exact, not approximate.
 #include "nn/batched_seq2seq.h"
 
 #include <gtest/gtest.h>
@@ -53,9 +54,9 @@ void ExpectSequenceEq(const Sequence& a, const Sequence& b) {
   }
 }
 
-/// Rows interleave three parameter groups (A B C A B A A C C B): shared
-/// GEMM tiles and singleton GEMV runs coexist in one plan, and the
-/// gather/scatter has to restore the caller's row order.
+/// Rows interleave three parameter groups (A B C A B A A C C B): tiles of
+/// several widths coexist in one plan, and the gather/scatter has to
+/// restore the caller's row order.
 TEST(BatchedSeq2SeqTest, PredictBatchMatchesScalarBitwise) {
   for (int seq_out : {1, 3}) {
     for (int threads : {1, 4}) {
@@ -288,9 +289,86 @@ TEST(BatchedSeq2SeqTest, TrainerEvaluateMatchesScalarOracle) {
   }
 }
 
+/// The in-tile rollout against the per-worker scalar RolloutPredict at the
+/// shapes that can break it: singleton rows interleaved in caller order
+/// with a shared group of more than kTileCols rows (one group, two
+/// chunks), a last pass that produces only part of its seq_out steps
+/// (seq_out 3, horizon 4), with and without the time-of-day input, at 1
+/// to 8 threads.
+TEST(BatchedSeq2SeqTest, RolloutMatchesScalarAtTileAndPassEdges) {
+  const geo::GridSpec grid(28.0, 14.0, 50, 100);
+  constexpr int kHorizon = 4;
+  for (int input_dim : {2, 3}) {
+    for (int seq_out : {1, 3}) {
+      Seq2SeqConfig config;
+      config.input_dim = input_dim;
+      config.hidden_dim = 5;
+      config.seq_out = seq_out;
+      tamp::Rng rng(static_cast<uint64_t>(53 + 10 * input_dim + seq_out));
+      EncoderDecoder model(config);
+      BatchedSeq2Seq engine(config);
+
+      const std::vector<double> shared = model.InitParams(rng);
+      std::vector<std::vector<double>> own;
+      std::vector<const std::vector<double>*> row_params;
+      std::vector<std::vector<geo::Point>> recents;
+      int shared_rows = 0;
+      for (int r = 0; r < 80; ++r) {
+        // Every 8th row (from row 3) is a fine-tuned singleton; the other
+        // 70 rows share one parameter vector.
+        if (r % 8 == 3) {
+          own.push_back(model.InitParams(rng));
+        } else {
+          ++shared_rows;
+        }
+        std::vector<geo::Point> walk;
+        for (int step = 0; step < 5; ++step) {
+          walk.push_back({rng.Uniform(0.0, grid.width_km()),
+                          rng.Uniform(0.0, grid.height_km())});
+        }
+        recents.push_back(std::move(walk));
+      }
+      ASSERT_GT(shared_rows, static_cast<int>(BatchedSeq2Seq::kTileCols));
+      size_t next_own = 0;
+      for (int r = 0; r < 80; ++r) {
+        row_params.push_back(r % 8 == 3 ? &own[next_own++] : &shared);
+      }
+
+      std::vector<std::vector<geo::TimedPoint>> scalar;
+      for (size_t r = 0; r < recents.size(); ++r) {
+        scalar.push_back(core::RolloutPredict(model, *row_params[r],
+                                              recents[r], grid, kHorizon,
+                                              /*now_min=*/1430.0,
+                                              /*step_period_min=*/10.0));
+      }
+      for (int threads : {1, 2, 4, 8}) {
+        ThreadCountGuard guard(threads);
+        core::FleetForecastScratch scratch;
+        std::vector<std::vector<geo::TimedPoint>> batched;
+        core::RolloutPredictBatch(engine, row_params, recents, grid,
+                                  kHorizon, 1430.0, 10.0, scratch, &batched);
+        ASSERT_EQ(batched.size(), scalar.size());
+        for (size_t r = 0; r < scalar.size(); ++r) {
+          ASSERT_EQ(batched[r].size(), static_cast<size_t>(kHorizon));
+          for (size_t i = 0; i < scalar[r].size(); ++i) {
+            EXPECT_EQ(batched[r][i].loc.x, scalar[r][i].loc.x)
+                << "row " << r << " step " << i << " threads " << threads;
+            EXPECT_EQ(batched[r][i].loc.y, scalar[r][i].loc.y)
+                << "row " << r << " step " << i << " threads " << threads;
+            EXPECT_EQ(batched[r][i].time_min, scalar[r][i].time_min)
+                << "row " << r << " step " << i << " threads " << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
 /// The work counters are part of the bench gate, so they must not depend
 /// on the thread count, and the cell count must equal the scalar path's
-/// LstmCell::Forward call count with strictly fewer kernel launches.
+/// LstmCell::Forward call count. A distinct-params fleet runs one
+/// 1-column tile per row; a shared-params fleet of 70 rows runs
+/// ceil(70/64) = 2 tiles, strictly fewer kernel launches than cells.
 TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
   Seq2SeqConfig config;
   config.input_dim = 3;
@@ -302,15 +380,17 @@ TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
 
   std::vector<std::vector<double>> params;
   std::vector<Sequence> windows;
-  std::vector<const std::vector<double>*> row_params;
+  std::vector<const std::vector<double>*> distinct_params;
+  std::vector<const std::vector<double>*> shared_params;
   std::vector<const Sequence*> inputs;
-  const int rows = 70;  // > kTileCols: at least two tiles.
+  const int rows = 70;  // > kTileCols: the shared group spans two tiles.
   for (int r = 0; r < rows; ++r) {
     params.push_back(model.InitParams(rng));
     windows.push_back(MakeWindow(rng, 5, 3));
   }
   for (int r = 0; r < rows; ++r) {
-    row_params.push_back(&params[r]);
+    distinct_params.push_back(&params[r]);
+    shared_params.push_back(&params[0]);
     inputs.push_back(&windows[r]);
   }
 
@@ -319,35 +399,31 @@ TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
   obs::Counter& gemm = registry.GetCounter("nn.batched_gemm_calls");
   obs::Counter& batch_rows = registry.GetCounter("nn.batch_rows");
 
-  int64_t cell_delta[2] = {0, 0};
-  int64_t gemm_delta[2] = {0, 0};
-  int64_t rows_delta[2] = {0, 0};
-  const int thread_counts[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    ThreadCountGuard guard(thread_counts[i]);
-    BatchedSeq2SeqScratch scratch;
-    std::vector<Sequence> out;
-    const int64_t c0 = cells.value();
-    const int64_t g0 = gemm.value();
-    const int64_t r0 = batch_rows.value();
-    engine.PredictBatch(row_params, inputs, &out, scratch);
-    cell_delta[i] = cells.value() - c0;
-    gemm_delta[i] = gemm.value() - g0;
-    rows_delta[i] = batch_rows.value() - r0;
-  }
-
   // Scalar reference: one LstmCell::Forward per row per (seq_in + seq_out)
   // step; kernels: one gate launch per tile per cell step plus one readout
   // launch per tile per decoder step.
   const int64_t expected_cells = static_cast<int64_t>(rows) * (5 + 2);
-  const int64_t tiles = (rows + 63) / 64;
-  EXPECT_EQ(cell_delta[0], expected_cells);
-  EXPECT_EQ(gemm_delta[0], tiles * (7 + 2));
-  EXPECT_EQ(rows_delta[0], rows);
-  EXPECT_LT(gemm_delta[0], expected_cells);
-  EXPECT_EQ(cell_delta[0], cell_delta[1]);
-  EXPECT_EQ(gemm_delta[0], gemm_delta[1]);
-  EXPECT_EQ(rows_delta[0], rows_delta[1]);
+  struct Fleet {
+    const std::vector<const std::vector<double>*>* row_params;
+    int64_t tiles;
+  };
+  const Fleet fleets[] = {{&distinct_params, rows},
+                          {&shared_params, (rows + 63) / 64}};
+  for (const Fleet& fleet : fleets) {
+    for (int threads : {1, 2, 4, 8}) {
+      ThreadCountGuard guard(threads);
+      BatchedSeq2SeqScratch scratch;
+      std::vector<Sequence> out;
+      const int64_t c0 = cells.value();
+      const int64_t g0 = gemm.value();
+      const int64_t r0 = batch_rows.value();
+      engine.PredictBatch(*fleet.row_params, inputs, &out, scratch);
+      EXPECT_EQ(cells.value() - c0, expected_cells) << threads;
+      EXPECT_EQ(gemm.value() - g0, fleet.tiles * (7 + 2)) << threads;
+      EXPECT_EQ(batch_rows.value() - r0, rows) << threads;
+    }
+  }
+  EXPECT_LT(fleets[1].tiles * (7 + 2), expected_cells);
 }
 
 }  // namespace

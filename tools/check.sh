@@ -4,8 +4,8 @@
 #   tools/check.sh                 Release build + ctest, the bench metrics
 #                                  gate (micro benches and the Fig. 7 and
 #                                  Table IV accuracy cells vs
-#                                  bench/baselines/, plus a fresh 1- vs
-#                                  4-thread Table IV run),
+#                                  bench/baselines/, plus fresh 1- vs
+#                                  4-thread Fig. 7 and Table IV runs),
 #                                  the repository benchmark's build + ctest
 #                                  (bench/e2e), clang-tidy (when
 #                                  installed), ASan+UBSan build + ctest, a
@@ -148,6 +148,16 @@ bench_gate_stage() {
             --threads=4 --json-dir="$dir/fig7" || return 1
   run_stage "bench-gate-fig7" "$compare" \
             "$baselines/BENCH_fig7_tasks_porto.json" \
+            "$dir/fig7/BENCH_fig7_tasks_porto.json" || return 1
+  # Thread invariance of the online loop: a fresh 1-thread Fig. 7 run must
+  # match the 4-thread run above bitwise — every cell and every obs work
+  # count, including the forecast's nn.* counters and the candidate and
+  # solve counts of the work-gated fan-outs.
+  mkdir -p "$dir/fig7-threads1"
+  run_stage "bench-run-fig7-threads1" "$dir/bench/bench_fig7_tasks_porto" \
+            --threads=1 --json-dir="$dir/fig7-threads1" || return 1
+  run_stage "bench-gate-fig7-threads-invariance" "$compare" \
+            "$dir/fig7-threads1/BENCH_fig7_tasks_porto.json" \
             "$dir/fig7/BENCH_fig7_tasks_porto.json" || return 1
   # Thread invariance: the table cells and the obs work counts (including
   # the nn.* forecast counters) of a fresh run must not depend on the
