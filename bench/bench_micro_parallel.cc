@@ -9,9 +9,11 @@
 //      production call at 1 and 4 threads. The crossover — the smallest
 //      dense pair count from which the 4-thread fan-out beats the serial
 //      loop at every larger size — is kMinParallelCandidatePairs.
-//   3. ShardedMaxWeightMatching over a sweep of equal shards (4 tasks x 2
-//      workers each): the same columns for its per-shard solve; the
-//      crossover in summed Shard::cost is kMinParallelShardCost.
+//   3. ShardedMaxWeightMatching over sweeps of equal, complete shards of
+//      two shapes: 4 tasks x 2 workers (the event workloads' pools) and
+//      8 tasks x 64 workers (a fleet_100k cluster). The same columns for
+//      its per-shard solve; the crossover in summed Shard::cost is
+//      kMinParallelShardCost.
 // Every timed call follows a 200 us idle gap. Timings are host-dependent
 // and only advisory in BENCH_micro_parallel.json; DESIGN.md §4d records
 // the measured profile the two constants come from.
@@ -50,9 +52,16 @@ constexpr int kSiteReps = 200;
 constexpr int kSweepWorkers = 16;
 constexpr int kSweepTasks[] = {4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
                                4096};
-constexpr int kSweepShards[] = {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
-constexpr int kShardTasks = 4;
-constexpr int kShardWorkers = 2;
+/// One shard shape of the solve sweep and the shard counts it runs.
+struct ShardShape {
+  int tasks;
+  int workers;
+  std::vector<int> counts;
+};
+const ShardShape kShardShapes[] = {
+    {4, 2, {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}},
+    {8, 64, {1, 2, 3, 4, 6, 8, 16, 32, 64}},
+};
 constexpr double kMatchRadiusKm = 1.0;
 constexpr double kNowMin = 600.0;
 
@@ -190,7 +199,7 @@ void CandidateSweep(tamp::bench::JsonReport& report) {
         const CandidateInfo info = tamp::assign::EvaluateCandidate(
             task, batch.workers[static_cast<size_t>(w)], kMatchRadiusKm,
             kNowMin);
-        if (!info.b_distances.empty() || info.stage3_feasible) {
+        if (info.b_count > 0 || info.stage3_feasible) {
           rows[t].push_back(w);
         }
       }
@@ -229,19 +238,19 @@ void CandidateSweep(tamp::bench::JsonReport& report) {
               static_cast<long long>(tamp::assign::kMinParallelCandidatePairs));
 }
 
-void ShardSweep(tamp::bench::JsonReport& report) {
+void ShardSweep(const ShardShape& shape, tamp::bench::JsonReport& report) {
   std::printf(
       "\n== ShardedMaxWeightMatching, %d x %d shards: mean us per call ==\n"
       "%7s %8s %9s %9s %9s %9s\n",
-      kShardTasks, kShardWorkers, "shards", "cost", "serial", "fan_4t",
+      shape.tasks, shape.workers, "shards", "cost", "serial", "fan_4t",
       "site_1t", "site_4t");
   std::vector<int64_t> sizes;
   std::vector<double> serial_s;
   std::vector<double> fanout_s;
-  for (int num_shards : kSweepShards) {
+  for (int num_shards : shape.counts) {
     tamp::Rng rng(20251019u + num_shards);
-    const int num_tasks = num_shards * kShardTasks;
-    const int num_workers = num_shards * kShardWorkers;
+    const int num_tasks = num_shards * shape.tasks;
+    const int num_workers = num_shards * shape.workers;
     // Complete bipartite blocks, one per shard: a table row and a
     // positive edge for every (task, worker) pair inside a block.
     std::vector<std::vector<TaskCandidate>> table(
@@ -250,10 +259,10 @@ void ShardSweep(tamp::bench::JsonReport& report) {
     std::vector<std::vector<tamp::matching::Edge>> local(
         static_cast<size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
-      for (int i = 0; i < kShardTasks; ++i) {
-        for (int j = 0; j < kShardWorkers; ++j) {
-          const int t = s * kShardTasks + i;
-          const int w = s * kShardWorkers + j;
+      for (int i = 0; i < shape.tasks; ++i) {
+        for (int j = 0; j < shape.workers; ++j) {
+          const int t = s * shape.tasks + i;
+          const int w = s * shape.workers + j;
           TaskCandidate tc;
           tc.worker = w;
           table[static_cast<size_t>(t)].push_back(tc);
@@ -275,7 +284,7 @@ void ShardSweep(tamp::bench::JsonReport& report) {
     // ShardedMaxWeightMatching's per-shard body.
     auto body = [&](size_t s) {
       thread_local tamp::matching::MatchingScratch scratch;
-      sub[s] = tamp::matching::MaxWeightMatching(kShardTasks, kShardWorkers,
+      sub[s] = tamp::matching::MaxWeightMatching(shape.tasks, shape.workers,
                                                  local[s], &scratch);
     };
     auto fanout = [&] { tamp::ParallelFor(local.size(), body); };
@@ -296,7 +305,9 @@ void ShardSweep(tamp::bench::JsonReport& report) {
     std::printf("%7d %8lld %9.1f %9.1f %9.1f %9.1f\n", num_shards,
                 static_cast<long long>(cost), serial * 1e6, fan_4t * 1e6,
                 site_1t * 1e6, site_4t * 1e6);
-    const std::string key = "shards.cost" + std::to_string(cost);
+    const std::string key = "shards.t" + std::to_string(shape.tasks) + "w" +
+                            std::to_string(shape.workers) + ".cost" +
+                            std::to_string(cost);
     report.AddStage(key + ".serial_s", serial);
     report.AddStage(key + ".fan_4t_s", fan_4t);
     report.AddStage(key + ".site_1t_s", site_1t);
@@ -328,7 +339,7 @@ int main(int argc, char** argv) {
   report.IncludeObs(false);
   RegionCostTable(report);
   CandidateSweep(report);
-  ShardSweep(report);
+  for (const ShardShape& shape : kShardShapes) ShardSweep(shape, report);
   tamp::SetParallelThreadCount(0);
   return 0;
 }

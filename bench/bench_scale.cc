@@ -1,19 +1,22 @@
 // Geo-sharded assignment at fleet scale (DESIGN.md §4k): synthetic
 // clustered fleets of W = 1k / 10k / 100k workers, where cluster spacing
 // (~100 km) dwarfs the match radius so the candidate graph decomposes into
-// one connected component per populated cluster. The bench runs the full
-// sharded batch-assignment path — spatial-index build, pruned candidate
-// generation, shard-plan construction, and the parallel per-shard KM solve
-// — and reports assignments/second plus the deterministic shard accounting
-// (shard counts, max shard size, candidate rows) the bench gate pins.
+// one connected component per populated cluster, plus a single-hotspot
+// fleet (W = 2k workers and 250 tasks in one 1-km cluster): one component,
+// the adversarial shape for sharding, so one 250 x 2,000 solve. The bench
+// runs the full sharded batch-assignment path — spatial-index build,
+// pruned candidate generation, shard-plan construction, and the parallel
+// per-shard KM solve — and reports assignments/second plus the
+// deterministic accounting the bench gate pins: shard counts, max shard
+// size, candidate rows, matched pairs, and the index's cell and entry
+// counts (a grid sized by the fleets' bounding box would fail the gate).
 //
 // Methodology: every reported *count* is a pure function of the synthesis
 // seed and thread-count-invariant (the shard plan is deterministic and the
 // sharded matching is bitwise-equal to the global solve; see
 // assign_sharding_test). The `_per_s` / `_s` keys are wall-clock and stay
-// advisory in tamp_bench_compare. No global-solve comparison runs at
-// W = 100k — the padded square matrix of the unsharded KM would be
-// infeasible there, which is precisely the point of sharding.
+// advisory in tamp_bench_compare. No global-solve comparison runs: at
+// W = 100k one KM over the whole fleet is what sharding avoids.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -35,6 +38,8 @@ namespace {
 
 constexpr double kClusterSpacingKm = 100.0;  // >> match radius: no bridges.
 constexpr double kClusterRadiusKm = 0.7;
+constexpr double kHotspotRadiusKm = 0.5;  // Every pair within reach.
+constexpr int kHotspotWorkers = 2000;     // And 250 tasks: one shard.
 constexpr int kWorkersPerCluster = 64;
 constexpr int kWorkersPerTask = 8;
 
@@ -43,11 +48,12 @@ struct ScaleFleet {
   std::vector<assign::CandidateWorker> workers;
 };
 
-/// Deterministic clustered fleet: workers and tasks scatter around cluster
-/// centers laid out on a wide grid, so feasibility never crosses clusters.
-ScaleFleet SynthesizeFleet(int num_workers, uint64_t seed) {
+/// Deterministic clustered fleet: workers and tasks scatter within
+/// `cluster_radius_km` of cluster centers laid out on a wide grid, so
+/// feasibility never crosses clusters.
+ScaleFleet SynthesizeFleet(int num_workers, int num_clusters,
+                           double cluster_radius_km, uint64_t seed) {
   Rng rng(seed);
-  const int num_clusters = std::max(1, num_workers / kWorkersPerCluster);
   const int grid = 1 + static_cast<int>(std::sqrt(
                            static_cast<double>(num_clusters - 1)));
   auto center = [&](int cluster) -> geo::Point {
@@ -55,8 +61,8 @@ ScaleFleet SynthesizeFleet(int num_workers, uint64_t seed) {
             kClusterSpacingKm * static_cast<double>(cluster / grid)};
   };
   auto jitter = [&](geo::Point c) -> geo::Point {
-    return {c.x + rng.Uniform(-kClusterRadiusKm, kClusterRadiusKm),
-            c.y + rng.Uniform(-kClusterRadiusKm, kClusterRadiusKm)};
+    return {c.x + rng.Uniform(-cluster_radius_km, cluster_radius_km),
+            c.y + rng.Uniform(-cluster_radius_km, cluster_radius_km)};
   };
 
   ScaleFleet fleet;
@@ -89,6 +95,8 @@ ScaleFleet SynthesizeFleet(int num_workers, uint64_t seed) {
 }
 
 struct ScaleResult {
+  int64_t index_cells = 0;
+  int64_t index_entries = 0;
   int64_t candidate_evals = 0;
   int64_t rows = 0;
   int64_t shard_count = 0;
@@ -108,6 +116,8 @@ ScaleResult RunScale(const ScaleFleet& fleet, double match_radius_km) {
   Stopwatch index_watch;
   assign::CandidateIndex index(fleet.workers);
   r.index_s = index_watch.ElapsedSeconds();
+  r.index_cells = static_cast<int64_t>(index.num_cells());
+  r.index_entries = static_cast<int64_t>(index.num_points());
 
   Stopwatch cand_watch;
   assign::CandidateGenStats stats;
@@ -154,7 +164,8 @@ int ScaleBenchMain(int argc, char** argv) {
   Status status = core::ParseRunFlags(argc, argv, &options);
   if (status.code() == StatusCode::kFailedPrecondition) {
     std::cout << "scale: sharded batch assignment over synthetic clustered"
-                 " fleets (W = 1k/10k/100k)\n\nflags:\n"
+                 " fleets (W = 1k/10k/100k, and a 2k single hotspot)\n\n"
+                 "flags:\n"
               << status.message();
     return 0;
   }
@@ -170,13 +181,30 @@ int ScaleBenchMain(int argc, char** argv) {
     // counters would only duplicate them accumulated across fleets.
     report.IncludeObs(false);
     std::cout << "=== Geo-sharded assignment at fleet scale ===\n";
-    TablePrinter table({"workers", "tasks", "rows", "shards", "max_rows",
-                       "matched", "assign/s"});
+    TablePrinter table({"fleet", "workers", "tasks", "cells", "rows",
+                       "shards", "max_rows", "matched", "assign/s"});
+    struct FleetSpec {
+      std::string name;
+      int workers;
+      int clusters;
+      double cluster_radius_km;
+      uint64_t seed;
+    };
+    std::vector<FleetSpec> specs;
     for (int num_workers : {1000, 10000, 100000}) {
-      const std::string name = "w" + std::to_string(num_workers);
-      ScaleFleet fleet =
-          SynthesizeFleet(num_workers, 7000 + static_cast<uint64_t>(
-                                                  num_workers));
+      std::string name = "w";
+      name += std::to_string(num_workers);
+      specs.push_back({name, num_workers,
+                       std::max(1, num_workers / kWorkersPerCluster),
+                       kClusterRadiusKm,
+                       7000 + static_cast<uint64_t>(num_workers)});
+    }
+    specs.push_back(
+        {"hotspot", kHotspotWorkers, 1, kHotspotRadiusKm, 9000});
+    for (const FleetSpec& spec : specs) {
+      const std::string& name = spec.name;
+      ScaleFleet fleet = SynthesizeFleet(spec.workers, spec.clusters,
+                                         spec.cluster_radius_km, spec.seed);
       ScaleResult r = RunScale(fleet, options.sim.match_radius_km);
       const double assign_per_s =
           r.total_s > 0.0 ? static_cast<double>(r.matched) / r.total_s : 0.0;
@@ -189,6 +217,10 @@ int ScaleBenchMain(int argc, char** argv) {
       report.AddMetric(name + ".shard_max_rows",
                        static_cast<double>(r.shard_max_rows));
       report.AddMetric(name + ".matched", static_cast<double>(r.matched));
+      report.AddMetric(name + ".index_cells",
+                       static_cast<double>(r.index_cells));
+      report.AddMetric(name + ".index_entries",
+                       static_cast<double>(r.index_entries));
       // Advisory (machine-dependent): throughput and the stage clocks.
       report.AddMetric(name + ".assign_per_s", assign_per_s);
       report.AddStage(name + ".index_s", r.index_s);
@@ -196,10 +228,11 @@ int ScaleBenchMain(int argc, char** argv) {
       report.AddStage(name + ".plan_s", r.plan_s);
       report.AddStage(name + ".solve_s", r.solve_s);
       report.AddStage(name + "_s", r.total_s);
-      table.AddRow({std::to_string(num_workers),
+      table.AddRow({name, std::to_string(spec.workers),
                     Fmt(static_cast<int64_t>(fleet.tasks.size())),
-                    Fmt(r.rows), Fmt(r.shard_count), Fmt(r.shard_max_rows),
-                    Fmt(r.matched), Fmt(assign_per_s, 0)});
+                    Fmt(r.index_cells), Fmt(r.rows), Fmt(r.shard_count),
+                    Fmt(r.shard_max_rows), Fmt(r.matched),
+                    Fmt(assign_per_s, 0)});
     }
     table.Print(std::cout);
     std::cout << "\nCSV:\n";

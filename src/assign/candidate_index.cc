@@ -46,9 +46,12 @@ CandidateIndex::CandidateIndex(const std::vector<CandidateWorker>& workers)
     : max_half_detour_km_(MaxHalfDetourKm(workers)),
       max_speed_kmpm_(MaxSpeedKmpm(workers)),
       // Cells at half the dominant prune radius: queries then touch a
-      // handful of buckets instead of the dozens the density-derived auto
+      // handful of cells instead of the dozens the density-derived auto
       // size yields, which is what keeps the per-query constant below the
-      // dense per-row cost at realistic batch sizes.
+      // dense per-row cost at realistic batch sizes. Where that target
+      // would grid a wide, sparse batch (fleet_100k's clusters span
+      // 3,900 km) into more cells than the index's entry-bounded budget,
+      // the index widens the cell instead; answers do not change.
       index_(PlatformVisiblePoints(workers), max_half_detour_km_ / 2.0) {}
 
 double CandidateIndex::PruneRadius(const SpatialTask& task,

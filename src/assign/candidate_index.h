@@ -45,6 +45,7 @@ class CandidateIndex {
   }
 
   size_t num_points() const { return index_.num_entries(); }
+  size_t num_cells() const { return index_.num_cells(); }
 
  private:
   // Declared before index_: the member-initializer list sizes the index's

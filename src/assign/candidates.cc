@@ -11,19 +11,9 @@
 namespace tamp::assign {
 namespace {
 
-TaskCandidate CompactInfo(int worker, const CandidateInfo& info) {
-  TaskCandidate c;
-  c.worker = worker;
-  c.b_count = static_cast<int>(info.b_distances.size());
-  c.min_b = info.min_b;
-  c.min_dis = info.min_dis;
-  c.stage3_feasible = info.stage3_feasible;
-  return c;
-}
-
 /// A pair enters the table iff some assignment stage could use it.
-bool Matters(const CandidateInfo& info) {
-  return !info.b_distances.empty() || info.stage3_feasible;
+bool Matters(const TaskCandidate& info) {
+  return info.b_count > 0 || info.stage3_feasible;
 }
 
 }  // namespace
@@ -50,7 +40,7 @@ CandidateInfo EvaluateCandidate(const SpatialTask& task,
     double dis = geo::Distance(p.loc, task.location);
     info.min_dis = std::min(info.min_dis, dis);
     if (dis + match_radius_km <= bound) {
-      info.b_distances.push_back(dis);
+      ++info.b_count;
       info.min_b = std::min(info.min_b, dis);
     }
   }
@@ -85,9 +75,11 @@ std::vector<std::vector<TaskCandidate>> GenerateCandidates(
     std::vector<TaskCandidate>& row = table[t];
     if (index == nullptr) {
       for (size_t w = 0; w < workers.size(); ++w) {
-        CandidateInfo info =
+        TaskCandidate c =
             EvaluateCandidate(task, workers[w], match_radius_km, now_min);
-        if (Matters(info)) row.push_back(CompactInfo(static_cast<int>(w), info));
+        if (!Matters(c)) continue;
+        c.worker = static_cast<int>(w);
+        row.push_back(c);
       }
       evals[t] = static_cast<int64_t>(workers.size());
       return;
@@ -102,9 +94,11 @@ std::vector<std::vector<TaskCandidate>> GenerateCandidates(
                         hits, &scratch);
     query_hist.Record(query_watch.ElapsedSeconds());
     for (int w : hits) {
-      CandidateInfo info = EvaluateCandidate(
+      TaskCandidate c = EvaluateCandidate(
           task, workers[static_cast<size_t>(w)], match_radius_km, now_min);
-      if (Matters(info)) row.push_back(CompactInfo(w, info));
+      if (!Matters(c)) continue;
+      c.worker = w;
+      row.push_back(c);
     }
     evals[t] = static_cast<int64_t>(hits.size());
   };

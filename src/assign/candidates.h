@@ -9,38 +9,32 @@ namespace tamp::assign {
 
 class CandidateIndex;
 
-/// The Theorem-2 view of one (task, worker) pair: which predicted points
+/// The Theorem-2 view of one (task, worker) pair — which predicted points
 /// certify an expected completion probability of MR, and the fallback
-/// stage-3 feasibility.
-struct CandidateInfo {
-  /// B (Alg. 4 lines 4-7): distances dis(l-hat_i, tau.l) of the predicted
-  /// points passing the Theorem-2 test dis + a <= min(d/2, d_t).
-  std::vector<double> b_distances;
-  /// min B, or +inf when B is empty.
-  double min_b = 0.0;
-  /// Minimum distance from any predicted point to the task (dis^min of
-  /// stage 3), or +inf when the worker has no predicted points.
+/// stage-3 feasibility — as one row of a batch candidate table.
+struct TaskCandidate {
+  int worker = -1;  // Batch index into the workers vector.
+  /// |B| (Alg. 4 lines 4-7): the predicted points passing the Theorem-2
+  /// test dis + a <= min(d/2, d_t). Only its size and minimum are kept.
+  int b_count = 0;
+  double min_b = 0.0;  // min B; +inf when B is empty.
+  /// dis^min of stage 3: the minimum distance from any predicted point or
+  /// the current location to the task.
   double min_dis = 0.0;
   /// Stage-3 feasibility: dis^min <= min(d/2, d_t).
   bool stage3_feasible = false;
 };
 
+/// EvaluateCandidate's result: a TaskCandidate whose `worker` is unset.
+using CandidateInfo = TaskCandidate;
+
 /// Evaluates the Theorem-2 candidate test for one pair at time `now_min`.
 /// d_t = speed * (tau.t - now) is the reachable radius before the deadline
 /// (Lemma 2); d/2 bounds the detour (Lemma 1); `match_radius_km` is a.
+/// Allocates nothing.
 CandidateInfo EvaluateCandidate(const SpatialTask& task,
                                 const CandidateWorker& worker,
                                 double match_radius_km, double now_min);
-
-/// One surviving (task, worker) evaluation in a batch candidate table: the
-/// compact subset of CandidateInfo the assignment algorithms consume.
-struct TaskCandidate {
-  int worker = -1;       // Batch index into the workers vector.
-  int b_count = 0;       // |B| (0 when the Theorem-2 set is empty).
-  double min_b = 0.0;    // min B; +inf when B is empty.
-  double min_dis = 0.0;  // dis^min over predicted points + current location.
-  bool stage3_feasible = false;
-};
 
 /// Work accounting for one candidate-table build (also mirrored into the
 /// obs registry as assign.candidate_evals / assign.candidates_pruned).

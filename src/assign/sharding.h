@@ -16,9 +16,11 @@ namespace tamp::assign {
 /// maximum-weight matching computed per component and concatenated is a
 /// maximum-weight matching of the whole graph. With geographically
 /// clustered fleets the largest component is orders of magnitude smaller
-/// than the fleet, turning the one global O(n^3) Hungarian solve into many
-/// small independent ones that the deterministic parallel runtime spreads
-/// over the pool.
+/// than the fleet, turning the one global Hungarian solve into many small
+/// independent ones that the deterministic parallel runtime spreads over
+/// the pool; each is compacted and rectangular (matching::
+/// MaxWeightMatching), so a component of t tasks and w workers costs
+/// O(min(t, w)^2 max(t, w)).
 
 /// One connected component of the candidate graph, in batch indices.
 struct Shard {
@@ -26,8 +28,12 @@ struct Shard {
   std::vector<int> workers;  // Ascending batch worker indices.
   /// Candidate-table rows inside the component.
   int64_t rows = 0;
-  /// LPT cost model: rows x (tasks + workers), a proxy for the KM cycle
-  /// count (each augmenting row scans every column of the padded matrix).
+  /// LPT cost model: rows x (tasks + workers), a proxy for the KM work.
+  /// The compacted solve runs one augmentation per vertex of the smaller
+  /// side, each a shortest-path sweep over the larger side's columns, and
+  /// the rows grow with both sides. It overstates large shards against
+  /// small ones (DESIGN.md §4d); it only orders the shards and gates the
+  /// fan-out, so it cannot change a result.
   int64_t cost = 0;
 };
 
@@ -56,9 +62,11 @@ ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
 
 /// Summed Shard::cost of the active shards below which
 /// ShardedMaxWeightMatching solves them inline: the crossover where a
-/// 4-thread fan-out over shards starts to beat the serial loop, measured
-/// by bench_micro_parallel (DESIGN.md §4d).
-inline constexpr int64_t kMinParallelShardCost = 6144;
+/// 4-thread fan-out over 4 x 2 shards starts to beat the serial loop,
+/// measured by bench_micro_parallel (DESIGN.md §4d). The sweep's 8 x 64
+/// fleet shards cross over later, at 221,184; the lower of the two keeps
+/// every swept shape that the fan-out speeds up off the serial path.
+inline constexpr int64_t kMinParallelShardCost = 24576;
 
 /// The assigners' one solve (KM and every PPI stage): partitions `edges`
 /// by `plan`, solves each shard that has a positive edge with

@@ -20,6 +20,11 @@ namespace tamp::geo {
 /// same sqrt-space arithmetic EvaluateCandidate compares, so a point whose
 /// Distance rounds onto the radius is a hit even when its DistanceSquared
 /// lies an ulp above radius^2.
+///
+/// The grid is flat — one cell-offset array and one entry array — and its
+/// cell count is bounded by its entry count, so a batch spanning a
+/// continent, or one mis-projected fix 10^7 km away, costs memory in
+/// proportion to its points, not to its bounding box.
 class SpatialLabelIndex {
  public:
   struct Entry {
@@ -43,15 +48,25 @@ class SpatialLabelIndex {
     uint64_t epoch = 0;
   };
 
-  /// Buckets `entries` into a uniform grid over their bounding box. With
-  /// `target_cell_km <= 0` the cell size is derived so the grid holds
-  /// roughly one point per cell (clamped to [0.05 km, longest extent]).
+  /// Most cells a grid over N entries may have: kMaxCellsPerEntry * N +
+  /// kMinCells. Memory is then O(entries) however far apart the points
+  /// lie (DESIGN.md §4f measures the multiplier).
+  static constexpr double kMaxCellsPerEntry = 4.0;
+  static constexpr double kMinCells = 64.0;
+
+  /// Sorts `entries` into a flat uniform grid over their bounding box.
+  /// With `target_cell_km <= 0` the cell size is derived so the grid holds
+  /// roughly one point per cell; either way it is clamped to [0.05 km,
+  /// longest extent], then widened to the smallest cell whose grid meets
+  /// the entry-bounded cell budget above. Aborts on a non-finite
+  /// coordinate.
   explicit SpatialLabelIndex(const std::vector<Entry>& entries,
                              double target_cell_km = 0.0);
 
   /// Collects into `out` the ascending, deduplicated labels of every entry
   /// with Distance(entry.loc, center) <= radius_km (closed ball; see class
-  /// comment). Clears `out` first. No-op collection for radius < 0.
+  /// comment). Clears `out` first. No-op collection for radius < 0. The
+  /// answer does not depend on the grid's layout or cell size.
   ///
   /// With a `scratch`, duplicate labels are filtered as entries are
   /// scanned (O(unique) sort) instead of by a sort+unique pass over every
@@ -61,17 +76,25 @@ class SpatialLabelIndex {
                            std::vector<int>& out,
                            QueryScratch* scratch = nullptr) const;
 
-  size_t num_entries() const { return num_entries_; }
+  size_t num_entries() const { return entries_.size(); }
+  /// Cells of the grid (rows x cols), at most the entry-bounded budget.
+  size_t num_cells() const { return cell_start_.size() - 1; }
 
  private:
-  size_t BucketOf(const Point& p) const;
+  /// Clamped rank of the cell `offset_km` from the origin along an axis of
+  /// `n` cells. Clamping happens before the integer conversion, so a far
+  /// or non-finite query coordinate cannot overflow it.
+  int Rank(double offset_km, int n) const;
+  size_t CellOf(const Point& p) const;
 
   Point min_;           // Bounding-box corner; grid origin.
   double cell_km_ = 1.0;
   int rows_ = 1;
   int cols_ = 1;
-  std::vector<std::vector<Entry>> buckets_;
-  size_t num_entries_ = 0;
+  // Flat grid: the entries of cell c are entries_[cell_start_[c]] up to
+  // entries_[cell_start_[c + 1]], in input order (a stable counting sort).
+  std::vector<uint32_t> cell_start_ = {0, 0};
+  std::vector<Entry> entries_;
   int max_label_ = -1;        // Largest label; sizes the dedup stamps.
   bool labels_non_negative_ = true;
 };

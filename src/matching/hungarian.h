@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
+
 namespace tamp::matching {
 
 /// A weighted edge of the assignment bipartite graph. In the TAMP setting
@@ -31,18 +33,32 @@ struct AssignmentResult {
 };
 
 /// Reusable working set for the matchers below. Hot callers that solve
-/// many matchings per batch (PPI's per-epsilon-batch KM calls) keep one of
-/// these across calls so the O(n^2) potentials/matrix buffers are
-/// allocated once and recycled; results are identical with or without a
-/// scratch. Not thread-safe: one scratch per calling thread.
+/// many matchings per batch (every shard solve of a KM or PPI call) keep
+/// one of these across calls so the buffers are allocated once and
+/// recycled; results are identical with or without a scratch. Not
+/// thread-safe: one scratch per calling thread.
+///
+/// After a solve it holds what CheckAssignmentCertificate verifies: the
+/// cost matrix the solver saw and the solver's own potentials.
 struct MatchingScratch {
-  // MinCostAssignment working vectors.
+  // The last solve's cost matrix, row-major rows x cols, rows <= cols.
+  std::vector<double> cost;
+  size_t rows = 0;
+  size_t cols = 0;
+  // The potentials solver's state, 1-indexed (index 0 is its virtual
+  // root): u and v are the row and column potentials, p[j] is the 1-based
+  // row assigned to column j (0 = free column).
   std::vector<double> u, v, minv;
-  std::vector<std::size_t> p, way;
+  std::vector<size_t> p, way;
   std::vector<char> used;
-  // MaxWeightMatching padded square matrices.
-  std::vector<std::vector<double>> weight;
-  std::vector<std::vector<double>> cost;
+  // MaxWeightMatching's compaction: the compacted index of every input
+  // vertex (-1 = no positive edge), the input id of every compacted
+  // vertex (ascending), the compacted weights (row-major, like `cost`)
+  // and the column of each row once solved.
+  std::vector<int> left_index, right_index;
+  std::vector<int> left_ids, right_ids;
+  std::vector<double> weight;
+  std::vector<int> col_of_row;
 };
 
 /// Minimum-cost perfect assignment of every row to a distinct column via
@@ -56,9 +72,16 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
                                    MatchingScratch* scratch = nullptr);
 
 /// Maximum-weight bipartite matching via the Kuhn-Munkres algorithm
-/// ([35], [36] in the paper) with potentials and shortest augmenting paths,
-/// O(n^3) on the padded square matrix. Vertices may stay unmatched: only
-/// pairs connected by a real (positive-weight) input edge are reported.
+/// ([35], [36] in the paper) with potentials and shortest augmenting paths.
+/// Vertices may stay unmatched: only pairs connected by a real
+/// (positive-weight) input edge are reported.
+///
+/// Only vertices with a positive edge enter the solve, and the smaller
+/// side of what remains becomes the rows (lefts and rights swap when more
+/// lefts than rights have an edge), so an r x c solve with r <= c costs
+/// O(r^2 c) however many isolated vertices `num_left`/`num_right` span.
+/// Pairs come back in ascending-left order and `total_weight` is summed in
+/// that order, whichever side was the rows.
 ///
 /// `num_left`/`num_right` bound the vertex ids appearing in `edges`.
 /// Duplicate edges keep the maximum weight. `scratch` may be null.
@@ -70,6 +93,23 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
 MatchResult MaxWeightMatching(int num_left, int num_right,
                               const std::vector<Edge>& edges,
                               MatchingScratch* scratch = nullptr);
+
+/// The Kuhn-Munkres optimality certificate of the last solve through
+/// `scratch` (by MinCostAssignment or MaxWeightMatching). With c the
+/// solved rows x cols cost matrix, u and v the solver's row and column
+/// potentials, and tol = 1e-9 * (1 + max |c|) * (rows + cols):
+///   - every row is assigned to exactly one column, no column twice;
+///   - every reduced cost c[i][j] - u[i] - v[j] is >= -tol;
+///   - every column potential is <= tol;
+///   - every assigned cell's reduced cost is within tol of 0;
+///   - every unassigned column's potential is within tol of 0.
+/// These are dual feasibility and complementary slackness of the
+/// assignment LP (each row once, each column at most once), so they prove
+/// the assignment minimum-cost, and MaxWeightMatching's matching
+/// maximum-weight. Returns OK, or an Internal status naming the first
+/// violated condition. Every solve TAMP_DCHECKs it; tests call it
+/// directly, since release builds compile DCHECKs out.
+Status CheckAssignmentCertificate(const MatchingScratch& scratch);
 
 /// Greedy descending-weight matching. No assigner calls it: it stays as
 /// the lower bound the matching tests check KM against (the greedy total

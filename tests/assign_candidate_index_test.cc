@@ -81,7 +81,7 @@ TEST(CandidateIndexTest, QueryIsSupersetOfAcceptingWorkers) {
                          hits);
       for (size_t w = 0; w < workers.size(); ++w) {
         CandidateInfo info = EvaluateCandidate(task, workers[w], a, now);
-        if (info.b_distances.empty() && !info.stage3_feasible) continue;
+        if (info.b_count == 0 && !info.stage3_feasible) continue;
         EXPECT_TRUE(std::binary_search(hits.begin(), hits.end(),
                                        static_cast<int>(w)))
             << "trial=" << trial << " task=" << task.id << " worker=" << w;

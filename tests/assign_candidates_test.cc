@@ -32,7 +32,7 @@ TEST(EvaluateCandidateTest, PointWithinBoundJoinsB) {
   auto task = MakeTask({1.5, 0.0}, 1000.0);
   CandidateInfo info = EvaluateCandidate(task, worker, /*a=*/0.4, /*now=*/0.0);
   // dis are 1.5 and 0.5; with a=0.4: 1.5+0.4 <= 2 and 0.5+0.4 <= 2.
-  EXPECT_EQ(info.b_distances.size(), 2u);
+  EXPECT_EQ(info.b_count, 2);
   EXPECT_DOUBLE_EQ(info.min_b, 0.5);
   EXPECT_DOUBLE_EQ(info.min_dis, 0.5);
   EXPECT_TRUE(info.stage3_feasible);
@@ -43,7 +43,7 @@ TEST(EvaluateCandidateTest, MatchRadiusShrinksB) {
   auto task = MakeTask({1.5, 0.0}, 1000.0);
   // With a=0.8: 1.5+0.8 > 2 excludes the first point; 0.5+0.8 <= 2 stays.
   CandidateInfo info = EvaluateCandidate(task, worker, 0.8, 0.0);
-  EXPECT_EQ(info.b_distances.size(), 1u);
+  EXPECT_EQ(info.b_count, 1);
   EXPECT_DOUBLE_EQ(info.min_b, 0.5);
 }
 
@@ -55,7 +55,7 @@ TEST(EvaluateCandidateTest, DeadlineTightensTheBound) {
   auto worker = MakeWorker({{0.0, 0.0, 10.0}, {1.0, 0.0, 20.0}});
   auto task = MakeTask({1.5, 0.0}, 1.0);
   CandidateInfo info = EvaluateCandidate(task, worker, 0.4, 0.0);
-  ASSERT_EQ(info.b_distances.size(), 1u);
+  ASSERT_EQ(info.b_count, 1);
   EXPECT_DOUBLE_EQ(info.min_b, 0.5);
   EXPECT_TRUE(info.stage3_feasible);
 }
@@ -64,7 +64,7 @@ TEST(EvaluateCandidateTest, ExpiredDeadlineMakesEverythingInfeasible) {
   auto worker = MakeWorker({{0.0, 0.0, 10.0}}, 4.0, 1.0);
   auto task = MakeTask({0.0, 0.0}, -5.0);
   CandidateInfo info = EvaluateCandidate(task, worker, 0.0, 0.0);
-  EXPECT_TRUE(info.b_distances.empty());
+  EXPECT_EQ(info.b_count, 0);
   EXPECT_FALSE(info.stage3_feasible);
 }
 
@@ -75,7 +75,7 @@ TEST(EvaluateCandidateTest, NoPredictionsFallBackToCurrentLocation) {
   worker.current_location = {0.5, 0.0};
   auto task = MakeTask({0.0, 0.0}, 100.0);
   CandidateInfo info = EvaluateCandidate(task, worker, 0.0, 0.0);
-  EXPECT_TRUE(info.b_distances.empty());
+  EXPECT_EQ(info.b_count, 0);
   EXPECT_TRUE(info.stage3_feasible);
   EXPECT_DOUBLE_EQ(info.min_dis, 0.5);
 
@@ -91,9 +91,8 @@ TEST(EvaluateCandidateTest, DetourBudgetHalved) {
   auto task = MakeTask({1.5, 0.0}, 1000.0);
   auto tight = MakeWorker({{0.0, 0.0, 5.0}}, /*detour=*/2.9);
   auto loose = MakeWorker({{0.0, 0.0, 5.0}}, /*detour=*/3.1);
-  EXPECT_TRUE(
-      EvaluateCandidate(task, tight, 0.0, 0.0).b_distances.empty());
-  EXPECT_EQ(EvaluateCandidate(task, loose, 0.0, 0.0).b_distances.size(), 1u);
+  EXPECT_EQ(EvaluateCandidate(task, tight, 0.0, 0.0).b_count, 0);
+  EXPECT_EQ(EvaluateCandidate(task, loose, 0.0, 0.0).b_count, 1);
 }
 
 TEST(EvaluateCandidateTest, DeadlineEqualToNowIsExpired) {
@@ -104,7 +103,7 @@ TEST(EvaluateCandidateTest, DeadlineEqualToNowIsExpired) {
   worker.current_location = {0.0, 0.0};
   auto task = MakeTask({0.0, 0.0}, /*deadline=*/7.0);
   CandidateInfo info = EvaluateCandidate(task, worker, 0.5, /*now=*/7.0);
-  EXPECT_TRUE(info.b_distances.empty());
+  EXPECT_EQ(info.b_count, 0);
   EXPECT_FALSE(info.stage3_feasible);
 }
 
@@ -116,11 +115,11 @@ TEST(EvaluateCandidateTest, ExactBoundaryIsInsideB) {
   auto worker = MakeWorker({{1.5, 0.0, 10.0}});
   auto task = MakeTask({0.0, 0.0}, 1000.0);
   CandidateInfo on = EvaluateCandidate(task, worker, 0.5, 0.0);
-  ASSERT_EQ(on.b_distances.size(), 1u);
+  ASSERT_EQ(on.b_count, 1);
   EXPECT_DOUBLE_EQ(on.min_b, 1.5);
   // Any radius past the boundary excludes it.
   CandidateInfo off = EvaluateCandidate(task, worker, 0.5 + 1e-9, 0.0);
-  EXPECT_TRUE(off.b_distances.empty());
+  EXPECT_EQ(off.b_count, 0);
 }
 
 TEST(EvaluateCandidateTest, DeclinedWorkerIsNeverProposedAgain) {
@@ -131,7 +130,7 @@ TEST(EvaluateCandidateTest, DeclinedWorkerIsNeverProposedAgain) {
   ASSERT_TRUE(EvaluateCandidate(task, worker, 0.5, 0.0).stage3_feasible);
   task.declined_worker_ids.push_back(42);
   CandidateInfo info = EvaluateCandidate(task, worker, 0.5, 0.0);
-  EXPECT_TRUE(info.b_distances.empty());
+  EXPECT_EQ(info.b_count, 0);
   EXPECT_FALSE(info.stage3_feasible);
 }
 

@@ -245,6 +245,53 @@ TEST(ShardedMatchingTest, BruteForceRandomGraphParityAtEveryThreadCount) {
   }
 }
 
+TEST(ShardedMatchingTest, KmFuzzSuiteAtEveryThreadCount) {
+  // The KM fuzz suite (matching_oracle.h) through the assigners' solve:
+  // one shard per connected component, each solved compacted and
+  // rectangular, merged in ascending-left order. At 1/2/4/8 threads every
+  // result is a valid matching with the global solve's optimal total, is
+  // bitwise the 1-thread result, and on continuous weights is bitwise the
+  // global solve.
+  int instances = 0;
+  for (const matching::FuzzInstance& inst :
+       matching::KmFuzzInstances(20261019)) {
+    SCOPED_TRACE(::testing::Message() << inst.family << " instance "
+                                      << instances << ": " << inst.num_left
+                                      << " x " << inst.num_right);
+    ++instances;
+    std::vector<std::pair<int, int>> rows;
+    for (const matching::Edge& e : inst.edges) {
+      if (e.weight > 0.0) rows.emplace_back(e.left, e.right);
+    }
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    std::vector<SpatialTask> tasks;
+    std::vector<CandidateWorker> workers;
+    IdentityBatch(inst.num_left, inst.num_right, &tasks, &workers);
+    const ShardPlan plan =
+        BuildShardPlan(TableFromRows(inst.num_left, rows), tasks, workers);
+    const matching::MatchResult global =
+        matching::MaxWeightMatching(inst.num_left, inst.num_right, inst.edges);
+    matching::MatchResult first;
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads");
+      SetParallelThreadCount(threads);
+      const matching::MatchResult sharded = ShardedMaxWeightMatching(
+          inst.num_left, inst.num_right, inst.edges, plan);
+      ExpectValidMatching(sharded, inst.edges);
+      EXPECT_NEAR(sharded.total_weight, global.total_weight, 1e-9);
+      if (threads == 1) {
+        first = sharded;
+      } else {
+        ExpectSameMatch(first, sharded);
+      }
+      if (!inst.tied) ExpectSameMatch(global, sharded);
+    }
+  }
+  SetParallelThreadCount(0);
+  EXPECT_GE(instances, 1000);
+}
+
 TEST(ShardedMatchingTest, LargeComponentsMatchGlobalAtEveryThreadCount) {
   // Several components of 20-40 tasks and workers each, with members
   // interleaved across the batch, so every shard solve is long enough for

@@ -37,7 +37,7 @@ TEST(DeclinedWorkerTest, EvaluateCandidateExcludesDeclinedWorkers) {
   assign::CandidateInfo blocked =
       assign::EvaluateCandidate(task, worker, 0.0, 0.0);
   EXPECT_FALSE(blocked.stage3_feasible);
-  EXPECT_TRUE(blocked.b_distances.empty());
+  EXPECT_EQ(blocked.b_count, 0);
 }
 
 TEST(DeclinedWorkerTest, PpiSkipsDeclinedPairs) {

@@ -181,6 +181,109 @@ TEST(SpatialLabelIndexTest, MatchesBruteForceOnRandomData) {
   }
 }
 
+/// The entry-bounded cell budget of SpatialLabelIndex over `n` entries.
+double CellBudget(size_t n) {
+  return SpatialLabelIndex::kMaxCellsPerEntry * static_cast<double>(n) +
+         SpatialLabelIndex::kMinCells;
+}
+
+TEST(SpatialLabelIndexTest, FarApartLayoutsStayWithinTheCellBudget) {
+  // Regression: the grid used to be sized by its bounding box. At the
+  // 1-km target cell below, two clusters 10^4 km apart asked for
+  // 10,001^2 = 1.0e8 buckets (2.4 GB of empty vectors), and one outlier
+  // 10^7 km away for 1.0e14. The flat grid's cell count is bounded by its
+  // entry count, and the answers still match brute force at every query
+  // scale: a cluster's neighbourhood, the outlier, empty space in
+  // between, and a ball holding everything.
+  tamp::Rng rng(4711);
+  auto cluster = [&](Point c, double half_km, int n, int first_label) {
+    std::vector<SpatialLabelIndex::Entry> entries;
+    for (int i = 0; i < n; ++i) {
+      const Point p{c.x + rng.Uniform(-half_km, half_km),
+                    c.y + rng.Uniform(-half_km, half_km)};
+      entries.push_back(
+          {p, first_label + static_cast<int>(rng.UniformInt(0, 39))});
+    }
+    return entries;
+  };
+  std::vector<SpatialLabelIndex::Entry> two_clusters =
+      cluster({0, 0}, 1.0, 200, 0);
+  for (const auto& e : cluster({1e4, 1e4}, 1.0, 200, 40)) {
+    two_clusters.push_back(e);
+  }
+  std::vector<SpatialLabelIndex::Entry> outlier =
+      cluster({0, 0}, 2.0, 300, 0);
+  outlier.push_back({{1e7, -1e7}, 99});
+
+  for (const auto* entries : {&two_clusters, &outlier}) {
+    SpatialLabelIndex index(*entries, /*target_cell_km=*/1.0);
+    EXPECT_EQ(index.num_entries(), entries->size());
+    EXPECT_LE(static_cast<double>(index.num_cells()),
+              CellBudget(entries->size()));
+    const Point far = entries->back().loc;
+    std::vector<int> out;
+    for (int q = 0; q < 200; ++q) {
+      Point center;
+      double radius = rng.Uniform(0.0, 4.0);
+      switch (q % 4) {
+        case 0:  // Around the first cluster.
+          center = {rng.Uniform(-3.0, 3.0), rng.Uniform(-3.0, 3.0)};
+          break;
+        case 1:  // Around the far cluster or the outlier.
+          center = {far.x + rng.Uniform(-3.0, 3.0),
+                    far.y + rng.Uniform(-3.0, 3.0)};
+          break;
+        case 2:  // Empty space in between, with a wide ball.
+          center = {far.x * rng.Uniform(0.2, 0.8),
+                    far.y * rng.Uniform(0.2, 0.8)};
+          radius = std::hypot(far.x, far.y) * rng.Uniform(0.0, 0.6);
+          break;
+        default:  // A ball holding every entry.
+          center = {0.0, 0.0};
+          radius = 2.0 * std::hypot(far.x, far.y);
+          break;
+      }
+      index.CollectLabelsWithin(center, radius, out);
+      EXPECT_EQ(out, BruteLabels(*entries, center, radius))
+          << "center=(" << center.x << "," << center.y << ") r=" << radius;
+    }
+  }
+}
+
+TEST(SpatialLabelIndexTest, CellCountStaysWithinBudgetAtAnyTarget) {
+  // The budget holds for the derived cell size, tiny targets and
+  // degenerate (zero-width or zero-height) boxes alike.
+  tamp::Rng rng(99);
+  for (int trial = 0; trial < 50; ++trial) {
+    const int n = 1 + static_cast<int>(rng.UniformInt(0, 300));
+    const double width = std::pow(10.0, rng.Uniform(-2.0, 7.0));
+    const double height =
+        trial % 5 == 0 ? 0.0 : std::pow(10.0, rng.Uniform(-2.0, 7.0));
+    std::vector<SpatialLabelIndex::Entry> entries;
+    for (int i = 0; i < n; ++i) {
+      entries.push_back(
+          {{rng.Uniform(0.0, width), rng.Uniform(0.0, height)}, i});
+    }
+    for (double target : {0.0, 0.001, 1.0}) {
+      SpatialLabelIndex index(entries, target);
+      EXPECT_LE(static_cast<double>(index.num_cells()),
+                CellBudget(entries.size()))
+          << "n=" << n << " box=" << width << "x" << height
+          << " target=" << target;
+    }
+  }
+}
+
+TEST(SpatialLabelIndexDeathTest, NonFiniteCoordinateAborts) {
+  // Trust boundary: a NaN coordinate used to reach an undefined
+  // float-to-int conversion while bucketing.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(SpatialLabelIndex({{{nan, 0.0}, 0}}), "is not finite");
+  EXPECT_DEATH(SpatialLabelIndex({{{0.0, 0.0}, 0}, {{1.0, -inf}, 1}}),
+               "is not finite");
+}
+
 TEST(SpatialLabelIndexTest, ScratchPathMatchesSortUniquePath) {
   // The stamp-dedup fast path must return exactly what the plain
   // sort+unique path returns, with one scratch reused across queries —

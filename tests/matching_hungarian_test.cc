@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -185,12 +186,11 @@ TEST(MatchingScratchTest, MinCostAssignmentWithScratch) {
 }
 
 TEST(MatchingScratchTest, ShrinkThenGrowScratchReuseParity) {
-  // Regression for the padded-square fill: a large solve leaves stale
-  // weight/cost rows in the scratch; a smaller solve then resizes the
-  // matrices down, and a regrown solve resizes them up again. Every used
-  // cell must be written for the current instance — any stale cell leaking
-  // through would change the optimum here, because all three instances put
-  // different weights on overlapping (l, r) cells.
+  // A large solve leaves stale weight/cost cells in the scratch; a smaller
+  // solve then reuses the buffers, and a regrown solve grows them again.
+  // Every used cell must be written for the current instance — any stale
+  // cell leaking through would change the optimum here, because all three
+  // instances put different weights on overlapping (l, r) cells.
   MatchingScratch scratch;
   auto run_both = [&scratch](int num_left, int num_right,
                              const std::vector<Edge>& edges) {
@@ -221,6 +221,183 @@ TEST(MatchingScratchTest, ShrinkThenGrowScratchReuseParity) {
   run_both(3, 3, {{0, 0, 0.0}, {1, 2, -1.0}});
   // ...so regrowing afterwards still matches fresh solves.
   run_both(5, 5, {{0, 0, 2.0}, {1, 1, 1.5}, {2, 3, 4.0}, {4, 2, 0.7}});
+}
+
+/// The compacted problem MaxWeightMatching must solve, rebuilt without
+/// its code: the vertices with a positive edge in ascending id order, the
+/// smaller side as rows, duplicate edges at their max, and cost = (max
+/// weight) - weight, row-major.
+struct CompactProblem {
+  size_t rows = 0;
+  size_t cols = 0;
+  std::vector<double> cost;
+};
+
+CompactProblem ExpectedCompactProblem(const std::vector<Edge>& edges) {
+  std::vector<int> lefts, rights;
+  double max_weight = 0.0;
+  for (const Edge& e : edges) {
+    if (e.weight <= 0.0) continue;
+    lefts.push_back(e.left);
+    rights.push_back(e.right);
+    max_weight = std::max(max_weight, e.weight);
+  }
+  for (std::vector<int>* ids : {&lefts, &rights}) {
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  }
+  const bool transposed = lefts.size() > rights.size();
+  CompactProblem problem;
+  problem.rows = std::min(lefts.size(), rights.size());
+  problem.cols = std::max(lefts.size(), rights.size());
+  std::vector<double> weight(problem.rows * problem.cols, 0.0);
+  auto rank = [](const std::vector<int>& ids, int id) {
+    return static_cast<size_t>(
+        std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
+  };
+  for (const Edge& e : edges) {
+    if (e.weight <= 0.0) continue;
+    const size_t l = rank(lefts, e.left);
+    const size_t r = rank(rights, e.right);
+    double& cell = transposed ? weight[r * problem.cols + l]
+                              : weight[l * problem.cols + r];
+    cell = std::max(cell, e.weight);
+  }
+  for (double w : weight) problem.cost.push_back(max_weight - w);
+  return problem;
+}
+
+/// Heaviest weight among the (l, r) edges; 0 when there is none.
+double EdgeWeight(const std::vector<Edge>& edges, int l, int r) {
+  double weight = 0.0;
+  for (const Edge& e : edges) {
+    if (e.left == l && e.right == r) weight = std::max(weight, e.weight);
+  }
+  return weight;
+}
+
+TEST(MaxWeightMatchingFuzzTest, CertificateCompactionOrderAndBruteForce) {
+  // The independent oracles of the compacted rectangular solve, on every
+  // fuzz instance, through one reused scratch:
+  //   - the scratch holds exactly the compacted problem rebuilt above;
+  //   - the KM dual certificate holds for it, and its dual objective
+  //     equals the matching's weight (rows * max_weight - sum of
+  //     potentials);
+  //   - pairs are distinct positive edges in ascending-left order, and
+  //     total_weight is their sum in that order, bitwise;
+  //   - with at most 8 per side, the total is the exhaustive optimum.
+  constexpr int kMaxBruteForceSide = 8;
+  MatchingScratch scratch;
+  int instances = 0, solved = 0, brute_forced = 0;
+  for (const FuzzInstance& inst : KmFuzzInstances(20261019)) {
+    SCOPED_TRACE(::testing::Message() << inst.family << " instance "
+                                      << instances << ": " << inst.num_left
+                                      << " x " << inst.num_right);
+    ++instances;
+    MatchResult result =
+        MaxWeightMatching(inst.num_left, inst.num_right, inst.edges, &scratch);
+    ExpectValidMatching(result, inst.num_left, inst.num_right);
+    double total = 0.0;
+    for (size_t i = 0; i < result.pairs.size(); ++i) {
+      const auto [l, r] = result.pairs[i];
+      if (i > 0) {
+        EXPECT_LT(result.pairs[i - 1].first, l);
+      }
+      const double w = EdgeWeight(inst.edges, l, r);
+      EXPECT_GT(w, 0.0) << "(" << l << ", " << r << ") is not an edge";
+      total += w;
+    }
+    EXPECT_EQ(result.total_weight, total);  // Ascending-left sum, bitwise.
+
+    const CompactProblem expected = ExpectedCompactProblem(inst.edges);
+    if (expected.rows == 0) {
+      EXPECT_TRUE(result.pairs.empty());
+      continue;
+    }
+    ++solved;
+    ASSERT_EQ(scratch.rows, expected.rows);
+    ASSERT_EQ(scratch.cols, expected.cols);
+    ASSERT_GE(scratch.cost.size(), expected.cost.size());
+    EXPECT_TRUE(std::equal(expected.cost.begin(), expected.cost.end(),
+                           scratch.cost.begin()));
+    const Status certificate = CheckAssignmentCertificate(scratch);
+    EXPECT_TRUE(certificate.ok()) << certificate.ToString();
+    double max_weight = 0.0;
+    for (const Edge& e : inst.edges) {
+      max_weight = std::max(max_weight, e.weight);
+    }
+    double dual = 0.0;
+    for (size_t i = 1; i <= scratch.rows; ++i) dual += scratch.u[i];
+    for (size_t j = 1; j <= scratch.cols; ++j) dual += scratch.v[j];
+    EXPECT_NEAR(result.total_weight,
+                static_cast<double>(scratch.rows) * max_weight - dual,
+                1e-9 * (1.0 + static_cast<double>(scratch.rows) * max_weight));
+
+    if (inst.num_left <= kMaxBruteForceSide &&
+        inst.num_right <= kMaxBruteForceSide) {
+      ++brute_forced;
+      const double best =
+          BruteForceBest(inst.num_left, inst.num_right, inst.edges);
+      if (inst.tied) {
+        EXPECT_EQ(result.total_weight, best);  // Small integers: exact.
+      } else {
+        EXPECT_NEAR(result.total_weight, best, 1e-9);
+      }
+    }
+  }
+  EXPECT_GE(instances, 1000);
+  EXPECT_GE(solved, 900);
+  EXPECT_GE(brute_forced, 100);
+}
+
+TEST(MaxWeightMatchingTest, CertificateRejectsTamperedSolves) {
+  // The certificate is only an oracle if it fails on a wrong solve: break
+  // each condition of a solved 3 x 4 instance in turn.
+  const std::vector<Edge> edges = {{0, 0, 4.0}, {0, 1, 1.0}, {1, 1, 3.0},
+                                   {1, 2, 2.5}, {2, 0, 2.0}, {2, 3, 1.5}};
+  MatchingScratch solved;
+  (void)MaxWeightMatching(3, 4, edges, &solved);
+  ASSERT_TRUE(CheckAssignmentCertificate(solved).ok());
+
+  MatchingScratch s = solved;
+  s.v[1] = 1.0;  // A positive column potential.
+  EXPECT_FALSE(CheckAssignmentCertificate(s).ok());
+
+  s = solved;
+  s.u[1] += 1.0;  // Some reduced cost of row 0 goes negative.
+  EXPECT_FALSE(CheckAssignmentCertificate(s).ok());
+
+  s = solved;
+  std::swap(s.p[1], s.p[2]);  // Two rows trade columns: a cell goes slack.
+  EXPECT_FALSE(CheckAssignmentCertificate(s).ok());
+
+  s = solved;
+  for (size_t j = 1; j <= s.cols; ++j) {
+    if (s.p[j] == 0) s.v[j] = -1.0;  // An unassigned column with a price.
+  }
+  EXPECT_FALSE(CheckAssignmentCertificate(s).ok());
+
+  s = solved;
+  for (size_t j = 1; j <= s.cols; ++j) {
+    if (s.p[j] == 1) s.p[j] = 0;  // Row 0 left unassigned.
+  }
+  EXPECT_FALSE(CheckAssignmentCertificate(s).ok());
+}
+
+TEST(MaxWeightMatchingTest, IsolatedVerticesDoNotEnterTheSolve) {
+  // 500 tasks against 10 workers with edges on only 3 tasks and 2
+  // workers: the solve is 2 x 3, transposed (the workers are the rows).
+  std::vector<Edge> edges = {{7, 4, 1.0}, {120, 4, 2.0}, {499, 9, 0.5},
+                             {120, 9, 3.0}, {300, 0, -1.0}};
+  MatchingScratch scratch;
+  MatchResult result = MaxWeightMatching(500, 10, edges, &scratch);
+  EXPECT_EQ(scratch.rows, 2u);
+  EXPECT_EQ(scratch.cols, 3u);
+  ASSERT_EQ(result.pairs.size(), 2u);
+  EXPECT_EQ(result.pairs[0], std::make_pair(7, 4));
+  EXPECT_EQ(result.pairs[1], std::make_pair(120, 9));
+  EXPECT_EQ(result.total_weight, 1.0 + 3.0);
+  EXPECT_TRUE(CheckAssignmentCertificate(scratch).ok());
 }
 
 TEST(MaxWeightMatchingTest, LargeInstanceRunsAndIsValid) {
