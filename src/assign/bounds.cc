@@ -21,7 +21,6 @@ AssignmentPlan UpperBoundAssign(const std::vector<SpatialTask>& tasks,
       tasks.size(), std::vector<double>(workers.size(), 0.0));
   for (size_t t = 0; t < tasks.size(); ++t) {
     for (size_t w = 0; w < workers.size(); ++w) {
-      if (tasks[t].DeclinedBy(workers[w].id)) continue;
       auto visit = geo::PlanTaskVisit(real_routines[w], tasks[t].location,
                                       workers[w].speed_kmpm,
                                       tasks[t].deadline_min);
@@ -52,7 +51,6 @@ AssignmentPlan LowerBoundAssign(const std::vector<SpatialTask>& tasks,
       tasks.size(), std::vector<double>(workers.size(), 0.0));
   for (size_t t = 0; t < tasks.size(); ++t) {
     for (size_t w = 0; w < workers.size(); ++w) {
-      if (tasks[t].DeclinedBy(workers[w].id)) continue;
       // The mobility-ignorant view: the same dis <= min(d/2, d_t) bound
       // PPI's stage 3 applies to predicted points, evaluated on the one
       // point this baseline knows — the current location. Whether the

@@ -26,10 +26,8 @@ CandidateInfo EvaluateCandidate(const SpatialTask& task,
   info.min_dis = std::numeric_limits<double>::infinity();
 
   // A task must be reached strictly before its deadline (Def. 1); an
-  // expired task admits no candidates at all. A worker who already
-  // declined the task is never proposed again.
+  // expired task admits no candidates at all.
   if (task.deadline_min <= now_min) return info;
-  if (task.DeclinedBy(worker.id)) return info;
 
   // Lemma 2: the worker can cover at most d_t km before the deadline.
   double d_t = worker.speed_kmpm * (task.deadline_min - now_min);

@@ -14,18 +14,6 @@ struct SpatialTask {
   geo::Point location;           // tau.l
   double release_time_min = 0.0; // When the requester posted it.
   double deadline_min = 0.0;     // tau.t
-  /// Workers who already declined this task in an earlier batch; when a
-  /// rejected task carries over (Section IV-B), the platform keeps
-  /// searching for *other* suitable workers rather than re-proposing the
-  /// declined pair.
-  std::vector<int> declined_worker_ids;
-
-  bool DeclinedBy(int worker_id) const {
-    for (int declined : declined_worker_ids) {
-      if (declined == worker_id) return true;
-    }
-    return false;
-  }
 };
 
 /// A worker candidate within one assignment batch: what the platform knows

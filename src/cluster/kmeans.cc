@@ -45,59 +45,6 @@ std::vector<std::vector<double>> SeedCentroids(
 
 }  // namespace
 
-KMeansResult KMeans(const std::vector<std::vector<double>>& points, int k,
-                    Rng& rng, int max_iterations) {
-  TAMP_CHECK(!points.empty());
-  TAMP_CHECK(k > 0);
-  k = std::min<int>(k, static_cast<int>(points.size()));
-  const size_t dim = points[0].size();
-  for (const auto& p : points) TAMP_CHECK(p.size() == dim);
-
-  KMeansResult result;
-  result.centroids = SeedCentroids(points, k, rng);
-  result.assignments.assign(points.size(), 0);
-
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    bool changed = false;
-    result.inertia = 0.0;
-    for (size_t p = 0; p < points.size(); ++p) {
-      int best_c = 0;
-      double best_d = std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < static_cast<size_t>(k); ++c) {
-        double d = SquaredDistance(points[p], result.centroids[c]);
-        if (d < best_d) {
-          best_d = d;
-          best_c = static_cast<int>(c);
-        }
-      }
-      if (result.assignments[p] != best_c) {
-        result.assignments[p] = best_c;
-        changed = true;
-      }
-      result.inertia += best_d;
-    }
-    result.iterations = iter + 1;
-    if (!changed && iter > 0) break;
-    // Recompute centroids; empty clusters keep their previous centroid.
-    const size_t num_clusters = static_cast<size_t>(k);
-    std::vector<std::vector<double>> sums(num_clusters,
-                                          std::vector<double>(dim, 0.0));
-    std::vector<int> counts(num_clusters, 0);
-    for (size_t p = 0; p < points.size(); ++p) {
-      size_t c = static_cast<size_t>(result.assignments[p]);
-      ++counts[c];
-      for (size_t d = 0; d < dim; ++d) sums[c][d] += points[p][d];
-    }
-    for (size_t c = 0; c < num_clusters; ++c) {
-      if (counts[c] == 0) continue;
-      for (size_t d = 0; d < dim; ++d) {
-        result.centroids[c][d] = sums[c][d] / counts[c];
-      }
-    }
-  }
-  return result;
-}
-
 SoftKMeansResult SoftKMeans(const std::vector<std::vector<double>>& points,
                             int k, double beta, Rng& rng,
                             int max_iterations) {

@@ -6,21 +6,6 @@
 
 namespace tamp::cluster {
 
-/// Result of (hard) k-means clustering.
-struct KMeansResult {
-  std::vector<int> assignments;            // Cluster id per point.
-  std::vector<std::vector<double>> centroids;
-  int iterations = 0;
-  double inertia = 0.0;                    // Sum of squared distances.
-};
-
-/// Lloyd's k-means with k-means++ seeding on dense feature vectors.
-/// `points` must be non-empty and rectangular; k is clamped to the number
-/// of points. Used by the GTTAML-GT variant (k-means-only multi-level
-/// clustering) and as the k-medoids comparison baseline.
-KMeansResult KMeans(const std::vector<std::vector<double>>& points, int k,
-                    Rng& rng, int max_iterations = 100);
-
 /// Result of soft (fuzzy) k-means: per-point membership distribution.
 struct SoftKMeansResult {
   /// responsibilities[p][c] in [0,1], rows sum to 1.

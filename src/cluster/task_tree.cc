@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "common/parallel.h"
 
 namespace tamp::cluster {
 
@@ -17,16 +16,11 @@ std::unique_ptr<TaskTreeNode> BuildLearningTaskTree(
   TAMP_CHECK(n > 0);
   for (const auto* f : factors) TAMP_CHECK(f->size() == n);
 
-  // With a multi-threaded pool, pre-fill every factor's similarity
-  // triangle with the parallel materialize pass: the O(n^2) independent
-  // kernel evaluations dominate the build, and afterwards the clustering
-  // game below only ever performs data-race-free reads. A 1-thread run
-  // keeps the lazy fill (it computes only the pairs the clustering
-  // actually queries); values are identical either way, so the resulting
-  // tree does not depend on the thread count.
-  if (ParallelThreadCount() > 1) {
-    for (const auto* f : factors) f->Materialize();
-  }
+  // Pre-fill every factor's similarity triangle with the parallel
+  // materialize pass: the O(n^2) independent kernel evaluations dominate
+  // the build, and afterwards the clustering game below only ever performs
+  // data-race-free reads.
+  for (const auto* f : factors) f->Materialize();
 
   auto root = std::make_unique<TaskTreeNode>();
   root->tasks.resize(static_cast<size_t>(n));

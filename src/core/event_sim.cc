@@ -138,14 +138,6 @@ void EventSimulator::HandleAssignTrigger(
       step_.Step(method, predictors, now, pool_, available_);
   metrics->assignments += outcome.assignments;
   metrics->assign_seconds += outcome.assign_seconds;
-  for (const auto& [task_id, worker_id] : outcome.declined) {
-    for (auto& pooled : pool_) {
-      if (pooled.id == task_id) {
-        pooled.declined_worker_ids.push_back(worker_id);
-        break;
-      }
-    }
-  }
   for (const BatchAssignStep::Accepted& accepted : outcome.accepted) {
     ++metrics->accepted;
     const data::WorkerRecord& record =

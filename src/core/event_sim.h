@@ -39,8 +39,7 @@ struct EventStats {
 ///
 /// State transitions per kind:
 ///  - task_arrival       pool.push_back(stream[id]) (also re-queues a
-///                       dropped task, as a fresh copy: decline memory
-///                       does not survive a dropout).
+///                       dropped task, as a fresh copy).
 ///  - task_expiry        removes stream[id]'s task from the pool if still
 ///                       pending (lazy no-op when already accepted).
 ///  - worker_login/out   toggles the session's worker online flag.

@@ -221,23 +221,14 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
         record.speed_kmpm, task.deadline_min);
     bool accepts =
         visit.has_value() && visit->detour_km <= record.detour_budget_km;
-    if (!accepts) {
-      // Rejected: the task stays pooled and carries over to the next
-      // batch (Section IV-B). With remember_declines the platform also
-      // avoids re-proposing this exact pair.
-      if (config_.remember_declines) {
-        outcome.declined.emplace_back(task.id, record.id);
-      }
-      continue;
-    }
+    // Rejected: the task stays pooled and carries over to the next batch
+    // (Section IV-B).
+    if (!accepts) continue;
     Accepted accepted;
     accepted.worker = w;
     accepted.task_id = task.id;
     accepted.detour_km = visit->detour_km;
-    accepted.busy_until_min =
-        config_.busy_until_arrival
-            ? visit->arrival_time_min + config_.service_time_min
-            : now + config_.service_time_min;
+    accepted.busy_until_min = now + config_.service_time_min;
     outcome.accepted.push_back(accepted);
   }
   assignments_counter.Increment(static_cast<int64_t>(plan.pairs.size()));

@@ -49,19 +49,11 @@ struct SimulatorConfig {
   /// Matching-rate radius a (shared by Def. 7 evaluation and Theorem 2).
   double match_radius_km = 1.0;
   /// Brief hand-over pause after completing a task before the worker can
-  /// take another assignment.
+  /// take another assignment. It is the whole busy window, counted from
+  /// acceptance: the check-in-style tasks of the paper's running example
+  /// are performed en route and barely interrupt the routine, as in the
+  /// paper's batch-replay evaluation.
   double service_time_min = 2.0;
-  /// When true a worker stays committed (unassignable) until they reach
-  /// the accepted task; when false only the service pause applies (the
-  /// check-in-style tasks of the paper's running example are performed en
-  /// route and barely interrupt the routine -- the default, matching the
-  /// paper's batch-replay evaluation).
-  bool busy_until_arrival = false;
-  /// When true the platform records declined (task, worker) pairs and
-  /// never re-proposes them (an extension beyond the paper, exercised by
-  /// the ablation bench); when false — the paper's behaviour — a rejected
-  /// task simply returns to the pool and may be re-proposed to anyone.
-  bool remember_declines = false;
   assign::PpiConfig ppi;
   assign::GgpsoConfig ggpso;
 };
@@ -137,13 +129,12 @@ class BatchAssignStep {
   };
 
   /// Everything one batch decided, in plan order. The caller applies it to
-  /// its own state (metrics, busy/pool bookkeeping, decline memory).
+  /// its own state (metrics, busy/pool bookkeeping). A declined task simply
+  /// stays in the caller's pool and may be proposed to anyone next batch
+  /// (Section IV-B).
   struct Outcome {
     int assignments = 0;       // |M| this batch proposed.
     std::vector<Accepted> accepted;
-    /// (task_id, worker_id) pairs the workers declined, recorded only
-    /// when config.remember_declines.
-    std::vector<std::pair<int, int>> declined;
     double assign_seconds = 0.0;  // Assignment-algorithm time this batch.
   };
 

@@ -1,25 +1,11 @@
 #include "core/ta_loss.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace tamp::core {
 namespace {
-
-std::vector<geo::Point> DropTimes(const std::vector<geo::TimedPoint>& timed) {
-  std::vector<geo::Point> out;
-  out.reserve(timed.size());
-  for (const auto& p : timed) out.push_back(p.loc);
-  return out;
-}
-
-int HourOfDay(double time_min) {
-  double tod = std::fmod(time_min, 1440.0);
-  if (tod < 0.0) tod += 1440.0;
-  return std::min(23, static_cast<int>(tod / 60.0));
-}
 
 void ValidateParams(const TaLossParams& params) {
   TAMP_CHECK(params.kappa > 0.0 && params.kappa < 1.0);
@@ -33,64 +19,14 @@ TaskOrientedWeighter::TaskOrientedWeighter(
     const geo::GridSpec& grid, const std::vector<geo::Point>& historical_tasks,
     const TaLossParams& params)
     : index_(grid, historical_tasks), params_(params),
-      rho_(index_.MeanCountPerDisk(params.dq_km)),
-      map_area_km2_(grid.width_km() * grid.height_km()) {
+      rho_(index_.MeanCountPerDisk(params.dq_km)) {
   ValidateParams(params);
-}
-
-TaskOrientedWeighter::TaskOrientedWeighter(
-    const geo::GridSpec& grid,
-    const std::vector<geo::TimedPoint>& historical_tasks,
-    const TaLossParams& params)
-    : index_(grid, DropTimes(historical_tasks)), params_(params),
-      rho_(index_.MeanCountPerDisk(params.dq_km)),
-      map_area_km2_(grid.width_km() * grid.height_km()) {
-  ValidateParams(params);
-  // Bucket tasks by hour of day for the temporal extension.
-  std::vector<std::vector<geo::Point>> buckets(24);
-  for (const auto& task : historical_tasks) {
-    buckets[static_cast<size_t>(HourOfDay(task.time_min))].push_back(
-        task.loc);
-  }
-  hour_indexes_.reserve(24);
-  for (const auto& bucket : buckets) {
-    hour_indexes_.emplace_back(grid, bucket);
-  }
 }
 
 double TaskOrientedWeighter::Weight(const geo::Point& location_km) const {
   int count = index_.CountWithin(location_km, params_.dq_km);
   double weight =
       params_.kappa * static_cast<double>(count) / rho_ + params_.delta;
-  return std::min(weight, params_.max_weight);
-}
-
-double TaskOrientedWeighter::WeightAt(const geo::Point& location_km,
-                                      double time_min) const {
-  if (params_.temporal_window_min <= 0.0 || hour_indexes_.empty()) {
-    return Weight(location_km);
-  }
-  // Hours whose midpoint falls within the window of time_min's
-  // time-of-day (wrapping at midnight).
-  double tod = std::fmod(time_min, 1440.0);
-  if (tod < 0.0) tod += 1440.0;
-  int count = 0;
-  size_t in_window_total = 0;
-  for (int hour = 0; hour < 24; ++hour) {
-    double mid = hour * 60.0 + 30.0;
-    double delta = std::fabs(mid - tod);
-    delta = std::min(delta, 1440.0 - delta);  // Wrap-around distance.
-    if (delta > params_.temporal_window_min) continue;
-    const size_t hi = static_cast<size_t>(hour);
-    count += hour_indexes_[hi].CountWithin(location_km, params_.dq_km);
-    in_window_total += hour_indexes_[hi].num_points();
-  }
-  // rho restricted to the in-window tasks so the ratio stays calibrated.
-  double disk = M_PI * params_.dq_km * params_.dq_km;
-  double rho_window = std::max(
-      static_cast<double>(in_window_total) * disk / map_area_km2_, 1e-6);
-  double weight =
-      params_.kappa * static_cast<double>(count) / rho_window + params_.delta;
   return std::min(weight, params_.max_weight);
 }
 

@@ -24,12 +24,6 @@ struct TaLossParams {
   /// capping preserves the ordering of weights while bounding the
   /// effective learning-rate amplification. Set to +inf to disable.
   double max_weight = 4.0;
-  /// Future-work extension: Section III-C deliberately ignores the
-  /// temporal relationship between trajectories and tasks. When > 0,
-  /// WeightAt(point, time) counts only historical tasks whose time-of-day
-  /// lies within this window (minutes, hour-bucket granularity) of the
-  /// queried time — demand at 9am no longer inflates weights at 9pm.
-  double temporal_window_min = 0.0;
 };
 
 /// The weighted function f_w of Eq. 7:
@@ -37,28 +31,16 @@ struct TaLossParams {
 /// where rho^t is the expected number of historical tasks in a disk of
 /// radius d^q (the unit-space normalizer). Trajectory points in task-dense
 /// areas get larger loss weights, steering the prediction model toward
-/// accuracy exactly where assignments happen (Challenge II).
+/// accuracy exactly where assignments happen (Challenge II). Like the
+/// paper (Section III-C), the weight ignores when the tasks were posted.
 class TaskOrientedWeighter {
  public:
   TaskOrientedWeighter(const geo::GridSpec& grid,
                        const std::vector<geo::Point>& historical_tasks,
                        const TaLossParams& params);
 
-  /// Time-aware construction (requires params.temporal_window_min > 0 for
-  /// WeightAt to differ from Weight): historical tasks carry the
-  /// time-of-day they were posted at.
-  TaskOrientedWeighter(const geo::GridSpec& grid,
-                       const std::vector<geo::TimedPoint>& historical_tasks,
-                       const TaLossParams& params);
-
   /// f_w at a map location (km coordinates).
   double Weight(const geo::Point& location_km) const;
-
-  /// Temporally-scoped f_w (the future-work extension): counts only
-  /// historical tasks within params.temporal_window_min of `time_min`'s
-  /// time-of-day. Falls back to Weight() when the window is disabled or
-  /// the weighter was built without timestamps.
-  double WeightAt(const geo::Point& location_km, double time_min) const;
 
   /// The rho^t normalizer in use.
   double rho() const { return rho_; }
@@ -71,10 +53,6 @@ class TaskOrientedWeighter {
   geo::SpatialCountIndex index_;
   TaLossParams params_;
   double rho_;
-  /// Hour-of-day buckets for the temporal extension (empty when the
-  /// weighter was built without timestamps).
-  std::vector<geo::SpatialCountIndex> hour_indexes_;
-  double map_area_km2_ = 0.0;
 };
 
 }  // namespace tamp::core

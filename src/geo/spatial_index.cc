@@ -207,24 +207,6 @@ int SpatialCountIndex::CountWithin(const Point& center,
   return count;
 }
 
-std::vector<Point> SpatialCountIndex::QueryWithin(const Point& center,
-                                                  double radius_km) const {
-  std::vector<Point> out;
-  if (radius_km <= 0.0) return out;
-  GridCell lo = spec_.CellOf({center.x - radius_km, center.y - radius_km});
-  GridCell hi = spec_.CellOf({center.x + radius_km, center.y + radius_km});
-  double r2 = radius_km * radius_km;
-  for (int row = lo.row; row <= hi.row; ++row) {
-    for (int col = lo.col; col <= hi.col; ++col) {
-      for (const Point& p :
-           buckets_[static_cast<size_t>(row * spec_.cols() + col)]) {
-        if (DistanceSquared(p, center) < r2) out.push_back(p);
-      }
-    }
-  }
-  return out;
-}
-
 double SpatialCountIndex::MeanCountPerDisk(double radius_km) const {
   double area = spec_.width_km() * spec_.height_km();
   double disk = M_PI * radius_km * radius_km;

@@ -110,9 +110,6 @@ class SpatialCountIndex {
   /// Number of indexed points with dis(point, center) < radius_km.
   int CountWithin(const Point& center, double radius_km) const;
 
-  /// Indexed points with dis(point, center) < radius_km.
-  std::vector<Point> QueryWithin(const Point& center, double radius_km) const;
-
   size_t num_points() const { return num_points_; }
 
   /// Average number of points falling in a disk of the given radius, i.e.

@@ -120,15 +120,4 @@ std::optional<DetourPlan> PlanTaskVisit(const Trajectory& routine,
   return best;
 }
 
-std::optional<DetourPlan> PlanFromPoint(const Point& loc, double now_min,
-                                        const Point& task_loc,
-                                        double speed_kmpm,
-                                        double deadline_min) {
-  if (speed_kmpm <= 0.0) return std::nullopt;
-  double to_task = Distance(loc, task_loc);
-  double arrival = now_min + to_task / speed_kmpm;
-  if (arrival > deadline_min) return std::nullopt;
-  return DetourPlan{2.0 * to_task, arrival, 0};
-}
-
 }  // namespace tamp::geo

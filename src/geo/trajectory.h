@@ -72,13 +72,4 @@ std::optional<DetourPlan> PlanTaskVisit(const Trajectory& routine,
                                         double speed_kmpm,
                                         double deadline_min);
 
-/// Detour for a stationary worker at `loc` (the LB baseline's view): an
-/// out-and-back trip of 2 * dis(loc, task). Returns nullopt when the task
-/// cannot be reached before `deadline_min` at `speed_kmpm` starting at
-/// `now_min`.
-std::optional<DetourPlan> PlanFromPoint(const Point& loc, double now_min,
-                                        const Point& task_loc,
-                                        double speed_kmpm,
-                                        double deadline_min);
-
 }  // namespace tamp::geo

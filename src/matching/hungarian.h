@@ -67,7 +67,8 @@ struct MatchingScratch {
 /// A 0-row matrix is a degenerate no-op: the empty result is returned
 /// without touching `scratch`.
 /// This is the computational core shared by MaxWeightMatching and the exact
-/// 2-D Wasserstein distance. `scratch` may be null (per-call buffers).
+/// 2-D Wasserstein distance (a test oracle; Sim_d uses the sliced one).
+/// `scratch` may be null (per-call buffers).
 AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
                                    MatchingScratch* scratch = nullptr);
 

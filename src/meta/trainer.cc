@@ -266,7 +266,9 @@ EvalResult MobilityTrainer::Evaluate(const TrainedModels& models,
         geo::Point pred_km = grid.Denormalize({pred[t][0], pred[t][1]});
         geo::Point true_km =
             grid.Denormalize({sample.target[t][0], sample.target[t][1]});
-        double d = geo::Distance(pred_km, true_km);
+        // A NaN distance (a corrupt model) must abort here rather than
+        // silently count as unmatched (Def. 7) and skew the PPI objective.
+        double d = TAMP_CHECK_FINITE(geo::Distance(pred_km, true_km));
         worker_se += d * d;
         worker_ae += d;
         if (d <= match_radius_km) ++worker_matched;

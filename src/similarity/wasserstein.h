@@ -14,15 +14,15 @@ double Wasserstein1D(std::vector<double> a, std::vector<double> b);
 
 /// Sliced 1-Wasserstein distance between two 2-D empirical point sets: the
 /// mean of Wasserstein1D over `num_projections` evenly spaced directions.
-/// This is the scalable estimator used by Sim_d for large learning tasks.
+/// This is the estimator Sim_d uses for every pair of learning tasks.
 double SlicedWasserstein2D(const std::vector<geo::Point>& a,
                            const std::vector<geo::Point>& b,
                            int num_projections);
 
 /// Exact 1-Wasserstein distance between two equal-size 2-D empirical point
-/// sets via a minimum-cost perfect assignment (O(n^3)); used as the ground
-/// truth the sliced estimator is tested against, and directly for small
-/// tasks. Requires equal, non-zero sizes.
+/// sets via a minimum-cost perfect assignment (O(n^3)); the ground truth the
+/// sliced estimator is tested against. Sim_d never calls it. Requires
+/// equal, non-zero sizes.
 double ExactWasserstein2D(const std::vector<geo::Point>& a,
                           const std::vector<geo::Point>& b);
 

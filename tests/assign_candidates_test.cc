@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "assign/matching_rate.h"
-
 namespace tamp::assign {
 namespace {
 
@@ -120,39 +118,6 @@ TEST(EvaluateCandidateTest, ExactBoundaryIsInsideB) {
   // Any radius past the boundary excludes it.
   CandidateInfo off = EvaluateCandidate(task, worker, 0.5 + 1e-9, 0.0);
   EXPECT_EQ(off.b_count, 0);
-}
-
-TEST(EvaluateCandidateTest, DeclinedWorkerIsNeverProposedAgain) {
-  auto worker = MakeWorker({{0.0, 0.0, 10.0}});
-  worker.id = 42;
-  worker.current_location = {0.0, 0.0};
-  auto task = MakeTask({0.0, 0.0}, 1000.0);
-  ASSERT_TRUE(EvaluateCandidate(task, worker, 0.5, 0.0).stage3_feasible);
-  task.declined_worker_ids.push_back(42);
-  CandidateInfo info = EvaluateCandidate(task, worker, 0.5, 0.0);
-  EXPECT_EQ(info.b_count, 0);
-  EXPECT_FALSE(info.stage3_feasible);
-}
-
-TEST(MatchingRateTest, CountsWithinRadius) {
-  std::vector<geo::Point> real = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
-  std::vector<geo::Point> pred = {{0, 0.1}, {1, 3.0}, {2, 0.4}, {9, 9}};
-  EXPECT_DOUBLE_EQ(MatchingRate(real, pred, 0.5), 0.5);
-}
-
-TEST(MatchingRateTest, BoundaryIsInclusive) {
-  std::vector<geo::Point> real = {{0, 0}};
-  std::vector<geo::Point> pred = {{0.5, 0}};
-  EXPECT_DOUBLE_EQ(MatchingRate(real, pred, 0.5), 1.0);
-}
-
-TEST(MatchingRateTest, EmptyIsZero) {
-  EXPECT_EQ(MatchingRate({}, {}, 1.0), 0.0);
-}
-
-TEST(MatchingRateTest, PerfectPredictionIsOne) {
-  std::vector<geo::Point> pts = {{1, 2}, {3, 4}};
-  EXPECT_DOUBLE_EQ(MatchingRate(pts, pts, 0.0), 1.0);
 }
 
 }  // namespace

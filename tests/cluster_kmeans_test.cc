@@ -22,46 +22,6 @@ std::vector<std::vector<double>> MakeBlobs(tamp::Rng& rng, int per_blob) {
   return points;
 }
 
-TEST(KMeansTest, RecoversSeparatedBlobs) {
-  tamp::Rng rng(5);
-  auto points = MakeBlobs(rng, 20);
-  KMeansResult result = KMeans(points, 3, rng);
-  // All points of a blob share a cluster id, and the three ids differ.
-  std::set<int> ids;
-  for (int b = 0; b < 3; ++b) {
-    int first = result.assignments[b * 20];
-    ids.insert(first);
-    for (int i = 0; i < 20; ++i) {
-      EXPECT_EQ(result.assignments[b * 20 + i], first) << "blob " << b;
-    }
-  }
-  EXPECT_EQ(ids.size(), 3u);
-}
-
-TEST(KMeansTest, ClampsKToPointCount) {
-  tamp::Rng rng(7);
-  std::vector<std::vector<double>> points = {{0.0}, {1.0}};
-  KMeansResult result = KMeans(points, 10, rng);
-  EXPECT_LE(result.centroids.size(), 2u);
-}
-
-TEST(KMeansTest, SingleClusterCentroidIsMean) {
-  tamp::Rng rng(9);
-  std::vector<std::vector<double>> points = {{0.0, 0.0}, {2.0, 4.0}};
-  KMeansResult result = KMeans(points, 1, rng);
-  ASSERT_EQ(result.centroids.size(), 1u);
-  EXPECT_NEAR(result.centroids[0][0], 1.0, 1e-9);
-  EXPECT_NEAR(result.centroids[0][1], 2.0, 1e-9);
-}
-
-TEST(KMeansTest, InertiaDecreasesVsRandomAssignment) {
-  tamp::Rng rng(11);
-  auto points = MakeBlobs(rng, 15);
-  KMeansResult result = KMeans(points, 3, rng);
-  // Within-blob noise is 0.4 sigma; inertia per point should be ~2*0.16.
-  EXPECT_LT(result.inertia / points.size(), 1.0);
-}
-
 TEST(SoftKMeansTest, ResponsibilitiesAreDistributions) {
   tamp::Rng rng(13);
   auto points = MakeBlobs(rng, 10);

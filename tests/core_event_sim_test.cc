@@ -180,14 +180,6 @@ ReferenceRun RunBatchReference(const data::Workload& workload,
     BatchAssignStep::Outcome outcome =
         step.Step(method, predictors, now, pool, available);
     metrics.assignments += outcome.assignments;
-    for (const auto& [task_id, worker_id] : outcome.declined) {
-      for (assign::SpatialTask& pooled : pool) {
-        if (pooled.id == task_id) {
-          pooled.declined_worker_ids.push_back(worker_id);
-          break;
-        }
-      }
-    }
     for (const BatchAssignStep::Accepted& accepted : outcome.accepted) {
       ++metrics.accepted;
       ++metrics.completed;
@@ -291,20 +283,17 @@ TEST(EventSimEdgeCaseTest, SessionGapLeavesMidGapTaskUnserved) {
   ExpectMatchesReference(workload, config, "session gap");
 }
 
-TEST(EventSimEdgeCaseTest, CertainDropoutUnderBusyUntilArrival) {
+TEST(EventSimEdgeCaseTest, CertainDropoutNeverCompletes) {
   // dropout.prob == 1: every acceptance aborts mid-service. The draw is a
   // pure function of (worker, task), so the re-pooled task keeps drawing
   // the same abort until its deadline — nothing ever completes and no
-  // detour cost is booked. busy_until_arrival exercises the commitment
-  // variant of the busy window (the worker is 0.5 km from the task, so
-  // arrival is strictly after the trigger).
+  // detour cost is booked.
   data::Workload workload;
   workload.dropout = {1.0, 99};
   workload.workers.push_back(StationaryWorker(0, 5.0, 5.0, 200.0));
   workload.task_stream.push_back(MakeTask(0, 5.5, 5.0, 10.0, 30.0));
 
   SimulatorConfig config;
-  config.busy_until_arrival = true;
   EventRun run = RunEventHorizon(workload, config, AssignMethod::kLowerBound);
   EXPECT_EQ(run.metrics.completed, 0);
   EXPECT_EQ(run.metrics.total_cost_km, 0.0);

@@ -68,14 +68,6 @@ TEST(SpatialCountIndexTest, MatchesBruteForceOnRandomData) {
   }
 }
 
-TEST(SpatialCountIndexTest, QueryWithinReturnsThePoints) {
-  GridSpec grid(10.0, 10.0, 10, 10);
-  std::vector<Point> pts = {{1, 1}, {2, 2}, {8, 8}};
-  SpatialCountIndex index(grid, pts);
-  auto near = index.QueryWithin({1.5, 1.5}, 1.5);
-  EXPECT_EQ(near.size(), 2u);
-}
-
 TEST(SpatialCountIndexTest, MeanCountPerDisk) {
   GridSpec grid(10.0, 10.0, 10, 10);
   std::vector<Point> pts(100, Point{5, 5});

@@ -138,23 +138,6 @@ TEST(PlanTaskVisitTest, PrefersCheapestFeasibleInsertion) {
   EXPECT_EQ(plan->segment_index, 1u);
 }
 
-TEST(PlanFromPointTest, OutAndBackDetour) {
-  auto plan = PlanFromPoint({0, 0}, /*now=*/10.0, {3.0, 4.0}, 1.0,
-                            /*deadline=*/20.0);
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_NEAR(plan->detour_km, 10.0, 1e-12);
-  EXPECT_NEAR(plan->arrival_time_min, 15.0, 1e-12);
-}
-
-TEST(PlanFromPointTest, DeadlineRespected) {
-  EXPECT_FALSE(
-      PlanFromPoint({0, 0}, 10.0, {3.0, 4.0}, 1.0, /*deadline=*/14.0)
-          .has_value());
-  EXPECT_TRUE(
-      PlanFromPoint({0, 0}, 10.0, {3.0, 4.0}, 1.0, /*deadline=*/15.0)
-          .has_value());
-}
-
 // ---- The running example of the paper (Fig. 2): worker w4 moves from
 // (4,2) to (9,2) (speed 1/unit); task tau2 at (6,1) with deadline 4. ----
 TEST(PlanTaskVisitTest, PaperRunningExampleWorker4Task2) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "meta/taml.h"
 
+#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace tamp::meta {
@@ -165,6 +168,30 @@ TEST(MobilityTrainerTest, WeightFnFlowsIntoTraining) {
   TrainedModels m_weighted = with_weights.Train(tasks, MetaAlgorithm::kMaml);
   // Different losses must yield different parameters.
   EXPECT_NE(m_plain.worker_params[0], m_weighted.worker_params[0]);
+}
+
+TEST(MobilityTrainerDeathTest, EvaluateAbortsOnANonFinitePrediction) {
+  // Def. 7's count is a numeric trust boundary: one NaN parameter makes a
+  // worker's predictions NaN, which must abort rather than count as
+  // unmatched. The threadsafe style re-runs the test in a fresh process,
+  // so the 4-thread run does not fork a live thread pool.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  tamp::Rng rng(23);
+  auto tasks = MakeGroupedTasks(rng);
+  MobilityTrainer trainer(SmallConfig());
+  TrainedModels models;
+  models.model_config = trainer.config().model;
+  for (size_t w = 0; w < tasks.size(); ++w) {
+    models.worker_params.push_back(trainer.model().InitParams(rng));
+  }
+  models.worker_params[5][0] = std::numeric_limits<double>::quiet_NaN();
+  geo::GridSpec grid(20.0, 10.0, 50, 100);
+  for (int threads : {1, 4}) {
+    SetParallelThreadCount(threads);
+    EXPECT_DEATH(trainer.Evaluate(models, tasks, grid, 2.0),
+                 "is not finite");
+  }
+  SetParallelThreadCount(0);
 }
 
 }  // namespace

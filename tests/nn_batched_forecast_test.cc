@@ -237,54 +237,64 @@ TEST(BatchedSeq2SeqTest, TrainerEvaluateMatchesScalarOracle) {
     tasks.push_back(std::move(task));
   }
 
-  // The oracle: every sample through the scalar Predict, summed in
+  // The oracle's distances: every sample through the scalar Predict, in
   // Evaluate's order (samples, then steps, per worker; workers in order).
   geo::GridSpec grid(20.0, 10.0, 50, 100);
-  const double radius_km = 2.0;
-  std::vector<meta::PredictionMetrics> oracle(tasks.size());
-  double se_sum = 0.0, ae_sum = 0.0;
-  int matched_total = 0, points_total = 0;
+  std::vector<std::vector<double>> distances(tasks.size());
   for (size_t w = 0; w < tasks.size(); ++w) {
-    double se = 0.0, ae = 0.0;
-    int matched = 0, points = 0;
     for (const meta::TrainingSample& sample : tasks[w].eval) {
       const Sequence pred =
           model.Predict(models.worker_params[w], sample.input);
       for (size_t t = 0; t < pred.size(); ++t) {
-        const double d = geo::Distance(
+        distances[w].push_back(geo::Distance(
             grid.Denormalize({pred[t][0], pred[t][1]}),
-            grid.Denormalize({sample.target[t][0], sample.target[t][1]}));
+            grid.Denormalize({sample.target[t][0], sample.target[t][1]})));
+      }
+    }
+  }
+
+  // A 2 km threshold, then exactly one point's distance: Def. 7 matches
+  // d <= a, so that point must count as matched.
+  for (const double radius_km : {2.0, distances[2][1]}) {
+    std::vector<meta::PredictionMetrics> oracle(tasks.size());
+    double se_sum = 0.0, ae_sum = 0.0;
+    int matched_total = 0, points_total = 0;
+    for (size_t w = 0; w < tasks.size(); ++w) {
+      double se = 0.0, ae = 0.0;
+      int matched = 0, points = 0;
+      for (const double d : distances[w]) {
         se += d * d;
         ae += d;
         if (d <= radius_km) ++matched;
         ++points;
       }
+      oracle[w].num_points = points;
+      oracle[w].rmse_km = std::sqrt(se / points);
+      oracle[w].mae_km = ae / points;
+      oracle[w].matching_rate = static_cast<double>(matched) / points;
+      se_sum += se;
+      ae_sum += ae;
+      matched_total += matched;
+      points_total += points;
     }
-    oracle[w].num_points = points;
-    oracle[w].rmse_km = std::sqrt(se / points);
-    oracle[w].mae_km = ae / points;
-    oracle[w].matching_rate = static_cast<double>(matched) / points;
-    se_sum += se;
-    ae_sum += ae;
-    matched_total += matched;
-    points_total += points;
-  }
 
-  for (int threads : {1, 4}) {
-    ThreadCountGuard guard(threads);
-    meta::EvalResult result =
-        meta::MobilityTrainer(config).Evaluate(models, tasks, grid, radius_km);
-    EXPECT_EQ(result.aggregate.rmse_km, std::sqrt(se_sum / points_total));
-    EXPECT_EQ(result.aggregate.mae_km, ae_sum / points_total);
-    EXPECT_EQ(result.aggregate.matching_rate,
-              static_cast<double>(matched_total) / points_total);
-    EXPECT_EQ(result.aggregate.num_points, points_total);
-    ASSERT_EQ(result.per_worker.size(), oracle.size());
-    for (size_t w = 0; w < oracle.size(); ++w) {
-      EXPECT_EQ(result.per_worker[w].num_points, oracle[w].num_points);
-      EXPECT_EQ(result.per_worker[w].rmse_km, oracle[w].rmse_km);
-      EXPECT_EQ(result.per_worker[w].mae_km, oracle[w].mae_km);
-      EXPECT_EQ(result.per_worker[w].matching_rate, oracle[w].matching_rate);
+    for (int threads : {1, 4}) {
+      ThreadCountGuard guard(threads);
+      meta::EvalResult result = meta::MobilityTrainer(config).Evaluate(
+          models, tasks, grid, radius_km);
+      EXPECT_EQ(result.aggregate.rmse_km, std::sqrt(se_sum / points_total));
+      EXPECT_EQ(result.aggregate.mae_km, ae_sum / points_total);
+      EXPECT_EQ(result.aggregate.matching_rate,
+                static_cast<double>(matched_total) / points_total);
+      EXPECT_EQ(result.aggregate.num_points, points_total);
+      ASSERT_EQ(result.per_worker.size(), oracle.size());
+      for (size_t w = 0; w < oracle.size(); ++w) {
+        EXPECT_EQ(result.per_worker[w].num_points, oracle[w].num_points);
+        EXPECT_EQ(result.per_worker[w].rmse_km, oracle[w].rmse_km);
+        EXPECT_EQ(result.per_worker[w].mae_km, oracle[w].mae_km);
+        EXPECT_EQ(result.per_worker[w].matching_rate,
+                  oracle[w].matching_rate);
+      }
     }
   }
 }
