@@ -4,9 +4,10 @@
 // one connected component per populated cluster, plus a single-hotspot
 // fleet (W = 2k workers and 250 tasks in one 1-km cluster): one component,
 // the adversarial shape for sharding, so one 250 x 2,000 solve. The bench
-// runs the full sharded batch-assignment path — spatial-index build,
-// pruned candidate generation, shard-plan construction, and the parallel
-// per-shard KM solve — and reports assignments/second plus the
+// runs KmAssign's sharded batch-assignment path call by call — spatial-
+// index build, two-pass candidate generation into the flat candidate
+// graph, shard-plan construction, and the parallel per-shard KM solve
+// read in place from the graph — and reports assignments/second plus the
 // deterministic accounting the bench gate pins: shard counts, max shard
 // size, candidate rows, matched pairs, and the index's cell and entry
 // counts (a grid sized by the fleets' bounding box would fail the gate).
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,47 +111,38 @@ struct ScaleResult {
   double total_s = 0.0;
 };
 
+/// KM's path, call by call as KmAssign makes it (its weight rule
+/// included), with a clock per stage.
 ScaleResult RunScale(const ScaleFleet& fleet, double match_radius_km) {
+  constexpr double kWeightFloorKm = 1e-3;  // KmAssign's default.
   ScaleResult r;
   Stopwatch total_watch;
 
   Stopwatch index_watch;
-  assign::CandidateIndex index(fleet.workers);
+  std::optional<assign::CandidateIndex> index(std::in_place, fleet.workers);
   r.index_s = index_watch.ElapsedSeconds();
-  r.index_cells = static_cast<int64_t>(index.num_cells());
-  r.index_entries = static_cast<int64_t>(index.num_points());
+  r.index_cells = static_cast<int64_t>(index->num_cells());
+  r.index_entries = static_cast<int64_t>(index->num_points());
 
   Stopwatch cand_watch;
   assign::CandidateGenStats stats;
-  std::vector<std::vector<assign::TaskCandidate>> table =
+  const assign::CandidateGraph graph =
       assign::GenerateCandidates(fleet.tasks, fleet.workers, match_radius_km,
-                                 /*now_min=*/0.0, &index, &stats);
+                                 /*now_min=*/0.0, index, &stats);
   r.candidates_s = cand_watch.ElapsedSeconds();
   r.candidate_evals = stats.evaluated;
 
   Stopwatch plan_watch;
-  assign::ShardPlan plan =
-      assign::BuildShardPlan(table, fleet.tasks, fleet.workers);
+  const assign::ShardPlan plan = assign::BuildShardPlan(
+      graph, static_cast<int>(fleet.workers.size()));
   r.plan_s = plan_watch.ElapsedSeconds();
   r.rows = plan.total_rows;
   r.shard_count = static_cast<int64_t>(plan.shards.size());
   r.shard_max_rows = plan.max_rows;
 
-  // The KM edge set, exactly as km_assigner builds it (stage-3 feasible
-  // rows, reciprocal-detour weights with the distance floor).
-  std::vector<matching::Edge> edges;
-  for (size_t t = 0; t < table.size(); ++t) {
-    for (const assign::TaskCandidate& tc : table[t]) {
-      if (!tc.stage3_feasible) continue;
-      edges.push_back({static_cast<int>(t), tc.worker,
-                       1.0 / std::max(tc.min_dis, 1e-3)});
-    }
-  }
-
   Stopwatch solve_watch;
-  matching::MatchResult match = assign::ShardedMaxWeightMatching(
-      static_cast<int>(fleet.tasks.size()),
-      static_cast<int>(fleet.workers.size()), edges, plan);
+  const matching::MatchResult match =
+      assign::MatchCandidateGraph(graph, plan, kWeightFloorKm);
   r.solve_s = solve_watch.ElapsedSeconds();
   r.matched = static_cast<int64_t>(match.pairs.size());
 

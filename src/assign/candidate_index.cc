@@ -2,25 +2,46 @@
 
 #include <algorithm>
 
+#include "common/no_init.h"
+#include "common/parallel.h"
+
 namespace tamp::assign {
 namespace {
 
-std::vector<geo::SpatialLabelIndex::Entry> PlatformVisiblePoints(
+/// Workers per chunk of the parallel entry gather.
+constexpr size_t kWorkersPerChunk = 4096;
+
+NoInitVector<geo::SpatialLabelIndex::Entry> PlatformVisiblePoints(
     const std::vector<CandidateWorker>& workers) {
-  std::vector<geo::SpatialLabelIndex::Entry> entries;
-  size_t total = workers.size();
-  for (const CandidateWorker& w : workers) total += w.predicted.size();
-  entries.reserve(total);
+  // Each worker's entries are its predicted points, then its current
+  // location, in worker order; chunk c's entries start at first[c],
+  // whichever thread writes them.
+  const size_t chunks =
+      (workers.size() + kWorkersPerChunk - 1) / kWorkersPerChunk;
+  std::vector<size_t> first(chunks + 1, 0);
   for (size_t i = 0; i < workers.size(); ++i) {
-    const CandidateWorker& w = workers[i];
-    const int label = static_cast<int>(i);
-    for (const geo::TimedPoint& p : w.predicted) {
-      entries.push_back({p.loc, label});
-    }
-    // The current location feeds stage 3's dis^min, so it must be able to
-    // keep a worker un-pruned on its own (EvaluateCandidate's fallback).
-    entries.push_back({w.current_location, label});
+    first[i / kWorkersPerChunk + 1] += workers[i].predicted.size() + 1;
   }
+  for (size_t c = 0; c < chunks; ++c) first[c + 1] += first[c];
+  NoInitVector<geo::SpatialLabelIndex::Entry> entries(first.back());
+  auto gather = [&](size_t chunk) {
+    const size_t end =
+        std::min(workers.size(), (chunk + 1) * kWorkersPerChunk);
+    geo::SpatialLabelIndex::Entry* out = entries.data() + first[chunk];
+    for (size_t i = chunk * kWorkersPerChunk; i < end; ++i) {
+      const CandidateWorker& w = workers[i];
+      const int label = static_cast<int>(i);
+      for (const geo::TimedPoint& p : w.predicted) *out++ = {p.loc, label};
+      // The current location feeds stage 3's dis^min, so it must be able
+      // to keep a worker un-pruned on its own (EvaluateCandidate's
+      // fallback).
+      *out++ = {w.current_location, label};
+    }
+  };
+  // The same crossover as the index build it feeds.
+  ParallelForIf(
+      entries.size() >= geo::SpatialLabelIndex::kMinParallelEntries,
+      chunks, gather);
   return entries;
 }
 

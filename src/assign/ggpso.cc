@@ -21,17 +21,12 @@ struct Individual {
   double fitness = -std::numeric_limits<double>::infinity();
 };
 
-struct FeasibleEdge {
-  int worker = -1;
-  double min_dis = 0.0;
-};
-
-/// Feasible workers per task plus the distance used by the fitness term.
-using FeasibilityTable = std::vector<std::vector<FeasibleEdge>>;
-
-FeasibilityTable BuildTable(const std::vector<SpatialTask>& tasks,
-                            const std::vector<CandidateWorker>& workers,
-                            double match_radius_km, double now_min) {
+/// The candidate graph of the batch: a task's rows are its feasible
+/// workers (every row is stage-3 feasible), with the distance the fitness
+/// term uses.
+CandidateGraph BuildGraph(const std::vector<SpatialTask>& tasks,
+                          const std::vector<CandidateWorker>& workers,
+                          double match_radius_km, double now_min) {
   static obs::Histogram& build_hist =
       obs::MetricsRegistry::Global().GetHistogram(
           "assign.index_build_s", obs::DurationEdgesSeconds());
@@ -42,51 +37,43 @@ FeasibilityTable BuildTable(const std::vector<SpatialTask>& tasks,
     index.emplace(workers);
     build_hist.Record(build_watch.ElapsedSeconds());
   }
-  const std::vector<std::vector<TaskCandidate>> candidates =
-      GenerateCandidates(tasks, workers, match_radius_km, now_min, &*index);
-  FeasibilityTable table(tasks.size());
-  for (size_t t = 0; t < candidates.size(); ++t) {
-    for (const TaskCandidate& tc : candidates[t]) {
-      if (tc.stage3_feasible) table[t].push_back({tc.worker, tc.min_dis});
-    }
-  }
-  return table;
+  return GenerateCandidates(tasks, workers, match_radius_km, now_min, index);
 }
 
-double MinDisOf(const FeasibilityTable& table, size_t task, int worker) {
-  for (const FeasibleEdge& e : table[task]) {
-    if (e.worker == worker) return e.min_dis;
-  }
-  return std::numeric_limits<double>::infinity();
+double MinDisOf(const CandidateGraph& graph, size_t task, int worker) {
+  const TaskCandidate* row = graph.Find(task, worker);
+  return row != nullptr ? row->min_dis
+                        : std::numeric_limits<double>::infinity();
 }
 
-double Fitness(const Individual& ind, const FeasibilityTable& table,
+double Fitness(const Individual& ind, const CandidateGraph& graph,
                double cost_weight) {
   double completed = 0.0, cost_term = 0.0;
   for (size_t t = 0; t < ind.worker_of_task.size(); ++t) {
     int w = ind.worker_of_task[t];
     if (w < 0) continue;
     completed += 1.0;
-    cost_term += 1.0 / (1.0 + MinDisOf(table, t, w));
+    cost_term += 1.0 / (1.0 + MinDisOf(graph, t, w));
   }
   return completed + cost_weight * cost_term;
 }
 
-Individual RandomIndividual(const FeasibilityTable& table, int num_workers,
+Individual RandomIndividual(const CandidateGraph& graph, int num_workers,
                             Rng& rng) {
   Individual ind;
-  ind.worker_of_task.assign(table.size(), -1);
+  ind.worker_of_task.assign(graph.num_tasks(), -1);
   std::vector<char> used(static_cast<size_t>(num_workers), 0);
-  std::vector<size_t> order(table.size());
+  std::vector<size_t> order(graph.num_tasks());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   rng.Shuffle(order);
   for (size_t t : order) {
-    if (table[t].empty()) continue;
+    const std::span<const TaskCandidate> rows = graph.RowsOf(t);
+    if (rows.empty()) continue;
     size_t pick = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(table[t].size()) - 1));
+        rng.UniformInt(0, static_cast<int64_t>(rows.size()) - 1));
     // Linear probe from a random start so every feasible worker can win.
-    for (size_t probe = 0; probe < table[t].size(); ++probe) {
-      const FeasibleEdge& e = table[t][(pick + probe) % table[t].size()];
+    for (size_t probe = 0; probe < rows.size(); ++probe) {
+      const TaskCandidate& e = rows[(pick + probe) % rows.size()];
       if (!used[static_cast<size_t>(e.worker)]) {
         ind.worker_of_task[t] = e.worker;
         used[static_cast<size_t>(e.worker)] = 1;
@@ -116,17 +103,18 @@ Individual Crossover(const Individual& parent, const Individual& best,
   return child;
 }
 
-void Mutate(Individual& ind, const FeasibilityTable& table, int num_workers,
+void Mutate(Individual& ind, const CandidateGraph& graph, int num_workers,
             double rate, Rng& rng) {
   std::vector<char> used(static_cast<size_t>(num_workers), 0);
   for (int w : ind.worker_of_task) {
     if (w >= 0) used[static_cast<size_t>(w)] = 1;
   }
   for (size_t t = 0; t < ind.worker_of_task.size(); ++t) {
-    if (table[t].empty() || !rng.Bernoulli(rate)) continue;
+    const std::span<const TaskCandidate> rows = graph.RowsOf(t);
+    if (rows.empty() || !rng.Bernoulli(rate)) continue;
     size_t pick = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(table[t].size()) - 1));
-    int candidate = table[t][pick].worker;
+        rng.UniformInt(0, static_cast<int64_t>(rows.size()) - 1));
+    int candidate = rows[pick].worker;
     if (used[static_cast<size_t>(candidate)]) continue;
     if (ind.worker_of_task[t] >= 0) {
       used[static_cast<size_t>(ind.worker_of_task[t])] = 0;
@@ -140,7 +128,8 @@ void Mutate(Individual& ind, const FeasibilityTable& table, int num_workers,
 
 AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
                            const std::vector<CandidateWorker>& workers,
-                           double now_min, const GgpsoConfig& config) {
+                           double now_min, double match_radius_km,
+                           const GgpsoConfig& config) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& solves_counter = registry.GetCounter("ggpso.solves");
   static obs::Counter& generations_counter =
@@ -157,17 +146,17 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
   Stopwatch solve_watch;
   obs::TraceSpan solve_span("ggpso.solve");
 
-  FeasibilityTable table =
-      BuildTable(tasks, workers, config.match_radius_km, now_min);
+  const CandidateGraph graph =
+      BuildGraph(tasks, workers, match_radius_km, now_min);
   Rng rng(config.seed);
   const int num_workers = static_cast<int>(workers.size());
 
   std::vector<Individual> population;
   population.reserve(static_cast<size_t>(config.population));
   for (int i = 0; i < config.population; ++i) {
-    population.push_back(RandomIndividual(table, num_workers, rng));
+    population.push_back(RandomIndividual(graph, num_workers, rng));
     population.back().fitness =
-        Fitness(population.back(), table, config.cost_weight);
+        Fitness(population.back(), graph, config.cost_weight);
   }
   Individual best = *std::max_element(
       population.begin(), population.end(),
@@ -191,8 +180,8 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
       Individual child = rng.Bernoulli(config.crossover_rate)
                              ? Crossover(parent, best, num_workers, 0.5, rng)
                              : parent;
-      Mutate(child, table, num_workers, config.mutation_rate, rng);
-      child.fitness = Fitness(child, table, config.cost_weight);
+      Mutate(child, graph, num_workers, config.mutation_rate, rng);
+      child.fitness = Fitness(child, graph, config.cost_weight);
       if (child.fitness > best.fitness) best = child;
       next.push_back(std::move(child));
     }
@@ -202,7 +191,7 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
   for (size_t t = 0; t < best.worker_of_task.size(); ++t) {
     int w = best.worker_of_task[t];
     if (w < 0) continue;
-    plan.pairs.push_back({static_cast<int>(t), w, MinDisOf(table, t, w)});
+    plan.pairs.push_back({static_cast<int>(t), w, MinDisOf(graph, t, w)});
   }
   solve_hist.Record(solve_watch.ElapsedSeconds());
   return plan;

@@ -28,54 +28,48 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
   AssignmentPlan plan;
   if (tasks.empty() || workers.empty()) return plan;
 
-  std::vector<std::vector<TaskCandidate>> table;
-  {  // The index is freed before the solve.
-    std::optional<CandidateIndex> index;
-    if (use_spatial_index) {
-      obs::TraceSpan build_span("km.index_build");
-      Stopwatch build_watch;
-      index.emplace(workers);
-      build_hist.Record(build_watch.ElapsedSeconds());
-    }
-    table = GenerateCandidates(tasks, workers, match_radius_km, now_min,
-                               index ? &*index : nullptr);
+  std::optional<CandidateIndex> index;
+  if (use_spatial_index) {
+    obs::TraceSpan build_span("km.index_build");
+    Stopwatch build_watch;
+    index.emplace(workers);
+    build_hist.Record(build_watch.ElapsedSeconds());
   }
+  // Frees the index between its two passes, before any row exists.
+  const CandidateGraph graph =
+      GenerateCandidates(tasks, workers, match_radius_km, now_min, index);
 
-  std::vector<matching::Edge> edges;
-  for (size_t t = 0; t < table.size(); ++t) {
-    for (const TaskCandidate& tc : table[t]) {
-      if (!tc.stage3_feasible) continue;
-      edges.push_back({static_cast<int>(t), tc.worker,
-                       1.0 / (tc.min_dis + weight_floor_km)});
-    }
-  }
+  // Every row is stage-3 feasible, so every row is an edge.
   solves_counter.Increment();
-  edges_counter.Increment(static_cast<int64_t>(edges.size()));
+  edges_counter.Increment(static_cast<int64_t>(graph.rows.size()));
   Stopwatch solve_watch;
   obs::TraceSpan solve_span("km.solve");
-  // Connected components of the candidate table share no feasible edge,
+  // Connected components of the candidate graph share no feasible edge,
   // so per-shard KM merged in task order is bit-identical to the global
   // solve (DESIGN.md §4k).
-  const matching::MatchResult result =
-      shard_components
-          ? ShardedMaxWeightMatching(static_cast<int>(tasks.size()),
-                                     static_cast<int>(workers.size()), edges,
-                                     BuildShardPlan(table, tasks, workers))
-          : matching::MaxWeightMatching(static_cast<int>(tasks.size()),
-                                        static_cast<int>(workers.size()),
-                                        edges);
-  solve_hist.Record(solve_watch.ElapsedSeconds());
-  for (auto [t, w] : result.pairs) {
-    // Recover dis^min of the matched pair from its table row (rows hold
-    // ascending worker indices, so the scan is short and deterministic).
-    double min_dis = 0.0;
-    for (const TaskCandidate& tc : table[static_cast<size_t>(t)]) {
-      if (tc.worker == w) {
-        min_dis = tc.min_dis;
-        break;
+  matching::MatchResult result;
+  if (shard_components) {
+    result = MatchCandidateGraph(
+        graph, BuildShardPlan(graph, static_cast<int>(workers.size())),
+        weight_floor_km);
+  } else {
+    std::vector<matching::Edge> edges;
+    edges.reserve(graph.rows.size());
+    for (size_t t = 0; t < graph.num_tasks(); ++t) {
+      for (const TaskCandidate& row : graph.RowsOf(t)) {
+        edges.push_back({static_cast<int>(t), row.worker,
+                         1.0 / (row.min_dis + weight_floor_km)});
       }
     }
-    plan.pairs.push_back({t, w, min_dis});
+    result = matching::MaxWeightMatching(static_cast<int>(tasks.size()),
+                                         static_cast<int>(workers.size()),
+                                         edges);
+  }
+  solve_hist.Record(solve_watch.ElapsedSeconds());
+  plan.pairs.reserve(result.pairs.size());
+  for (auto [t, w] : result.pairs) {
+    plan.pairs.push_back(
+        {t, w, graph.Find(static_cast<size_t>(t), w)->min_dis});
   }
   return plan;
 }

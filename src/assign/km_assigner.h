@@ -13,8 +13,9 @@ namespace tamp::assign {
 ///
 /// The production path (the defaults) prunes candidates through the
 /// per-batch spatial index (CandidateIndex) and solves per connected
-/// component of the candidate graph (BuildShardPlan +
-/// ShardedMaxWeightMatching, DESIGN.md §4k). `use_spatial_index = false`
+/// component of the candidate graph, reading each component's edges in
+/// place from the graph's rows (BuildShardPlan + MatchCandidateGraph,
+/// DESIGN.md §4k). `use_spatial_index = false`
 /// (the dense T x W sweep) and `shard_components = false` (one global
 /// MaxWeightMatching) are the test oracles of those two layers; every
 /// combination yields a bit-identical plan.

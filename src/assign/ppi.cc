@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "assign/candidate_index.h"
@@ -18,67 +17,41 @@
 namespace tamp::assign {
 namespace {
 
-/// A stage-1/2 candidate edge: the (task, worker) pair with its Theorem-2
-/// evidence.
-struct PpiCandidate {
+/// A stage-2 candidate: a B-pair with its |B| * MR score.
+struct PendingPair {
   int task = -1;
   int worker = -1;
   double min_b = 0.0;
   double score = 0.0;  // |B| * MR.
 };
 
-/// Key for the pair -> min_b lookup below; task/worker are batch indices
-/// well under 2^31 so the packed key is collision-free.
-int64_t PairKey(int task, int worker) {
-  return (static_cast<int64_t>(task) << 32) |
-         static_cast<int64_t>(static_cast<uint32_t>(worker));
-}
+/// The detour a committed pair reports: min B for the Theorem-2 stages,
+/// dis^min for stage 3.
+enum class Detour { kMinB, kMinDis };
 
-/// Reusable buffers for MatchAndCommit across the many per-batch KM calls
-/// of one PpiAssign invocation.
-struct CommitScratch {
-  std::vector<matching::Edge> km_edges;
-  std::unordered_map<int64_t, double> min_b_of_pair;
-};
-
-/// Runs KM on the given candidate edges, one solve per shard of
+/// Runs KM on the given edges, one solve per touched shard of
 /// `shard_plan`, and appends the matched pairs to `plan`, marking
-/// tasks/workers as assigned. Weights are 1/(min_b+floor).
-void MatchAndCommit(const std::vector<PpiCandidate>& edges, int num_tasks,
-                    int num_workers, double weight_floor,
-                    const ShardPlan& shard_plan, CommitScratch& scratch,
-                    std::vector<char>& task_done,
+/// tasks/workers as assigned. Each pair's detour is read from its graph
+/// row.
+void MatchAndCommit(const std::vector<matching::Edge>& edges,
+                    const CandidateGraph& graph, const ShardPlan& shard_plan,
+                    Detour detour, std::vector<char>& task_done,
                     std::vector<char>& worker_done, AssignmentPlan& plan) {
   if (edges.empty()) return;
   obs::TraceSpan match_span("ppi.match");
-  std::vector<matching::Edge>& km_edges = scratch.km_edges;
-  km_edges.clear();
-  km_edges.reserve(edges.size());
-  // Index min_b by pair id so recovering the detour of a matched pair is a
-  // hash lookup, not a rescan of every edge per match (O(E * M) before).
-  std::unordered_map<int64_t, double>& min_b_of_pair = scratch.min_b_of_pair;
-  min_b_of_pair.clear();
-  min_b_of_pair.reserve(edges.size());
-  for (const PpiCandidate& c : edges) {
-    km_edges.push_back({c.task, c.worker, 1.0 / (c.min_b + weight_floor)});
-    const bool inserted =
-        min_b_of_pair.emplace(PairKey(c.task, c.worker), c.min_b).second;
-    // Each (task, worker) pair is evaluated once per stage, so a duplicate
-    // edge means a caller bug (and would make the recovered min_b ambiguous).
-    TAMP_DCHECK(inserted);
-    (void)inserted;
-  }
-  const matching::MatchResult result =
-      ShardedMaxWeightMatching(num_tasks, num_workers, km_edges, shard_plan);
+  const matching::MatchResult result = ShardedMaxWeightMatching(
+      static_cast<int>(task_done.size()), static_cast<int>(worker_done.size()),
+      edges, shard_plan);
   for (auto [task, worker] : result.pairs) {
     const size_t ti = static_cast<size_t>(task);
     const size_t wi = static_cast<size_t>(worker);
     TAMP_CHECK(!task_done[ti] && !worker_done[wi]);
     task_done[ti] = 1;
     worker_done[wi] = 1;
-    auto it = min_b_of_pair.find(PairKey(task, worker));
-    TAMP_CHECK(it != min_b_of_pair.end());
-    plan.pairs.push_back({task, worker, it->second});
+    const TaskCandidate* row = graph.Find(ti, worker);
+    TAMP_CHECK(row != nullptr);
+    plan.pairs.push_back(
+        {task, worker, detour == Detour::kMinB ? row->min_b : row->min_dis});
   }
 }
 
@@ -86,7 +59,8 @@ void MatchAndCommit(const std::vector<PpiCandidate>& edges, int num_tasks,
 
 AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
                          const std::vector<CandidateWorker>& workers,
-                         double now_min, const PpiConfig& config) {
+                         double now_min, double match_radius_km,
+                         const PpiConfig& config) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& calls_counter = registry.GetCounter("ppi.calls");
   static obs::Counter& certain_counter =
@@ -105,102 +79,98 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
   AssignmentPlan plan;
   if (num_tasks == 0 || num_workers == 0) return plan;
 
-  // Candidate table shared by stages 1 and 3: EvaluateCandidate is pure in
-  // (task, worker, now), so one evaluation per pair serves both stages.
-  std::vector<std::vector<TaskCandidate>> table;
-  {  // The index is freed before the stages run.
-    std::optional<CandidateIndex> index;
-    {
-      obs::TraceSpan build_span("ppi.index_build");
-      Stopwatch build_watch;
-      index.emplace(workers);
-      build_hist.Record(build_watch.ElapsedSeconds());
-    }
-    table = GenerateCandidates(tasks, workers, config.match_radius_km,
-                               now_min, &*index);
+  // One candidate graph serves every stage: EvaluateCandidate is pure in
+  // (task, worker, now), so one evaluation per pair serves them all.
+  std::optional<CandidateIndex> index;
+  {
+    obs::TraceSpan build_span("ppi.index_build");
+    Stopwatch build_watch;
+    index.emplace(workers);
+    build_hist.Record(build_watch.ElapsedSeconds());
   }
+  // Frees the index between its two passes, before any row exists.
+  const CandidateGraph graph =
+      GenerateCandidates(tasks, workers, match_radius_km, now_min, index);
 
   std::vector<char> task_done(static_cast<size_t>(num_tasks), 0);
   std::vector<char> worker_done(static_cast<size_t>(num_workers), 0);
-  CommitScratch scratch;
-  // One decomposition serves every stage (each stage's edges are table
+  // One decomposition serves every stage (each stage's edges are graph
   // rows, so no edge crosses a component boundary).
-  const ShardPlan shards = BuildShardPlan(table, tasks, workers);
+  const ShardPlan shards = BuildShardPlan(graph, num_workers);
+  std::vector<matching::Edge> edges;
+  auto weight_of = [&](double detour) {
+    return 1.0 / (detour + config.weight_floor_km);
+  };
 
   // ---- Stage 1 (Alg. 4 lines 1-12): certain pairs (|B| * MR >= 1). ----
   std::optional<obs::TraceSpan> stage1_span(std::in_place, "ppi.stage1");
-  std::vector<PpiCandidate> certain;
-  std::vector<PpiCandidate> pending;  // The B-set of lines 10-11.
-  for (size_t t = 0; t < table.size(); ++t) {
-    for (const TaskCandidate& tc : table[t]) {
-      if (tc.b_count == 0) continue;
-      PpiCandidate c;
-      c.task = static_cast<int>(t);
-      c.worker = tc.worker;
-      c.min_b = tc.min_b;
-      c.score = static_cast<double>(tc.b_count) *
-                workers[static_cast<size_t>(tc.worker)].matching_rate;
-      if (c.score >= 1.0) {
-        certain.push_back(c);
+  std::vector<PendingPair> pending;  // The B-set of lines 10-11.
+  for (size_t t = 0; t < graph.num_tasks(); ++t) {
+    for (const TaskCandidate& row : graph.RowsOf(t)) {
+      if (row.b_count == 0) continue;
+      const double score =
+          static_cast<double>(row.b_count) *
+          workers[static_cast<size_t>(row.worker)].matching_rate;
+      if (score >= 1.0) {
+        edges.push_back({static_cast<int>(t), row.worker, weight_of(row.min_b)});
       } else {
-        pending.push_back(c);
+        pending.push_back({static_cast<int>(t), row.worker, row.min_b, score});
       }
     }
   }
-  certain_counter.Increment(static_cast<int64_t>(certain.size()));
+  certain_counter.Increment(static_cast<int64_t>(edges.size()));
   pending_counter.Increment(static_cast<int64_t>(pending.size()));
-  MatchAndCommit(certain, num_tasks, num_workers, config.weight_floor_km,
-                 shards, scratch, task_done, worker_done, plan);
+  MatchAndCommit(edges, graph, shards, Detour::kMinB, task_done, worker_done,
+                 plan);
   stage1_span.reset();
 
   // ---- Stage 2 (lines 13-27): drain pending pairs in descending |B|*MR,
   // epsilon at a time. ----
   std::optional<obs::TraceSpan> stage2_span(std::in_place, "ppi.stage2");
   std::stable_sort(pending.begin(), pending.end(),
-                   [](const PpiCandidate& a, const PpiCandidate& b) {
+                   [](const PendingPair& a, const PendingPair& b) {
                      return a.score > b.score;
                    });
-  std::vector<PpiCandidate> batch;
-  std::vector<PpiCandidate> live;
+  std::vector<const PendingPair*> batch;
   auto flush_batch = [&]() {
     if (batch.empty()) return;
     // Skip entries invalidated by earlier commits (lines 22-23's removal).
-    live.clear();
-    for (const PpiCandidate& c : batch) {
-      if (!task_done[static_cast<size_t>(c.task)] &&
-          !worker_done[static_cast<size_t>(c.worker)]) {
-        live.push_back(c);
+    edges.clear();
+    for (const PendingPair* c : batch) {
+      if (!task_done[static_cast<size_t>(c->task)] &&
+          !worker_done[static_cast<size_t>(c->worker)]) {
+        edges.push_back({c->task, c->worker, weight_of(c->min_b)});
       }
     }
-    MatchAndCommit(live, num_tasks, num_workers, config.weight_floor_km,
-                   shards, scratch, task_done, worker_done, plan);
+    MatchAndCommit(edges, graph, shards, Detour::kMinB, task_done,
+                   worker_done, plan);
     batch.clear();
   };
-  for (const PpiCandidate& c : pending) {
+  for (const PendingPair& c : pending) {
     if (task_done[static_cast<size_t>(c.task)] ||
         worker_done[static_cast<size_t>(c.worker)]) {
       continue;
     }
-    batch.push_back(c);
+    batch.push_back(&c);
     if (static_cast<int>(batch.size()) == config.epsilon) flush_batch();
   }
   flush_batch();  // Lines 25-27: the final partial batch.
   stage2_span.reset();
 
-  // ---- Stage 3 (lines 28-34): leftovers matched on dis^min only. ----
+  // ---- Stage 3 (lines 28-34): leftovers matched on dis^min only. Every
+  // row is stage-3 feasible. ----
   obs::TraceSpan stage3_span("ppi.stage3");
-  std::vector<PpiCandidate> fallback;
-  for (size_t t = 0; t < table.size(); ++t) {
+  edges.clear();
+  for (size_t t = 0; t < graph.num_tasks(); ++t) {
     if (task_done[t]) continue;
-    for (const TaskCandidate& tc : table[t]) {
-      if (worker_done[static_cast<size_t>(tc.worker)]) continue;
-      if (!tc.stage3_feasible) continue;
-      fallback.push_back({static_cast<int>(t), tc.worker, tc.min_dis, 0.0});
+    for (const TaskCandidate& row : graph.RowsOf(t)) {
+      if (worker_done[static_cast<size_t>(row.worker)]) continue;
+      edges.push_back({static_cast<int>(t), row.worker, weight_of(row.min_dis)});
     }
   }
-  fallback_counter.Increment(static_cast<int64_t>(fallback.size()));
-  MatchAndCommit(fallback, num_tasks, num_workers, config.weight_floor_km,
-                 shards, scratch, task_done, worker_done, plan);
+  fallback_counter.Increment(static_cast<int64_t>(edges.size()));
+  MatchAndCommit(edges, graph, shards, Detour::kMinDis, task_done,
+                 worker_done, plan);
   return plan;
 }
 

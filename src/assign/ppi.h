@@ -6,8 +6,6 @@ namespace tamp::assign {
 
 /// Parameters of the Prediction-Performance-Involved assignment algorithm.
 struct PpiConfig {
-  /// Matching-rate radius a (Def. 7 / Theorem 2), km.
-  double match_radius_km = 0.5;
   /// Stage-2 batching threshold epsilon (Alg. 4 line 20): how many B-pairs
   /// accumulate before an intermediate KM call.
   int epsilon = 8;
@@ -25,12 +23,14 @@ struct PpiConfig {
 /// per-stage KM calls use 1/minB (or 1/dis^min) as edge weights so shorter
 /// expected detours win.
 ///
-/// Candidates come from the per-batch spatial index (CandidateIndex);
-/// every stage's KM runs per connected component of the batch candidate
-/// table (ShardedMaxWeightMatching, DESIGN.md §4k). Stage edges are table
-/// rows, so they never cross components.
+/// `match_radius_km` is the matching-rate radius a (Def. 7 / Theorem 2).
+/// Candidates come from the per-batch spatial index (CandidateIndex) into
+/// one candidate graph; every stage's KM runs per connected component of
+/// that graph (ShardedMaxWeightMatching, DESIGN.md §4k). Stage edges are
+/// graph rows, so they never cross components.
 AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
                          const std::vector<CandidateWorker>& workers,
-                         double now_min, const PpiConfig& config);
+                         double now_min, double match_radius_km,
+                         const PpiConfig& config);
 
 }  // namespace tamp::assign

@@ -58,6 +58,12 @@ bool InParallelRegion();
 /// until all indices finished. See the determinism contract above.
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
+/// ParallelFor when `fan_out`, else the same loop inline on the caller:
+/// how a work-gated call site skips a pool region its work would not pay
+/// back (DESIGN.md §4d). The result is the same either way.
+void ParallelForIf(bool fan_out, size_t n,
+                   const std::function<void(size_t)>& fn);
+
 /// Maps fn over [0, n) into a vector with out[i] = fn(i). T must be
 /// default-constructible and movable.
 template <typename T, typename Fn>

@@ -80,12 +80,10 @@ Status RunOptions::Validate() const {
       {sim.sample_period_min, "sim.sample_period_min"},
       {sim.match_radius_km, "sim.match_radius_km"},
       {sim.service_time_min, "sim.service_time_min"},
-      {sim.ppi.match_radius_km, "sim.ppi.match_radius_km"},
       {sim.ppi.weight_floor_km, "sim.ppi.weight_floor_km"},
       {sim.ggpso.crossover_rate, "sim.ggpso.crossover_rate"},
       {sim.ggpso.mutation_rate, "sim.ggpso.mutation_rate"},
       {sim.ggpso.cost_weight, "sim.ggpso.cost_weight"},
-      {sim.ggpso.match_radius_km, "sim.ggpso.match_radius_km"},
   };
   for (const auto& [value, field] : kFloatFields) {
     TAMP_RETURN_IF_ERROR(CheckFinite(value, field));

@@ -189,18 +189,14 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
                               config_.match_radius_km,
                               /*weight_floor_km=*/1e-3);
       break;
-    case AssignMethod::kPpi: {
-      assign::PpiConfig ppi = config_.ppi;
-      ppi.match_radius_km = config_.match_radius_km;
-      plan = assign::PpiAssign(batch_tasks, batch_workers, now, ppi);
+    case AssignMethod::kPpi:
+      plan = assign::PpiAssign(batch_tasks, batch_workers, now,
+                               config_.match_radius_km, config_.ppi);
       break;
-    }
-    case AssignMethod::kGgpso: {
-      assign::GgpsoConfig ggpso = config_.ggpso;
-      ggpso.match_radius_km = config_.match_radius_km;
-      plan = assign::GgpsoAssign(batch_tasks, batch_workers, now, ggpso);
+    case AssignMethod::kGgpso:
+      plan = assign::GgpsoAssign(batch_tasks, batch_workers, now,
+                                 config_.match_radius_km, config_.ggpso);
       break;
-    }
   }
   assign_span.reset();
 

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace tamp::geo {
 
@@ -32,28 +35,65 @@ double SmallestCellWithin(double width, double height, double max_cells) {
 
 }  // namespace
 
-SpatialLabelIndex::SpatialLabelIndex(const std::vector<Entry>& entries,
+SpatialLabelIndex::SpatialLabelIndex(std::span<const Entry> entries,
                                      double target_cell_km) {
   if (entries.empty()) return;
-  Point max = entries[0].loc;
-  min_ = entries[0].loc;
-  for (const Entry& e : entries) {
-    // Trust boundary: a NaN coordinate would poison the bounding box and
-    // reach an undefined float-to-int conversion in CellOf.
-    TAMP_CHECK_FINITE(e.loc.x);
-    TAMP_CHECK_FINITE(e.loc.y);
-    min_.x = std::min(min_.x, e.loc.x);
-    min_.y = std::min(min_.y, e.loc.y);
-    max.x = std::max(max.x, e.loc.x);
-    max.y = std::max(max.y, e.loc.y);
-    max_label_ = std::max(max_label_, e.label);
-    if (e.label < 0) labels_non_negative_ = false;
+  const size_t n = entries.size();
+  // A pool region costs more than a small index's build (DESIGN.md §4d):
+  // below the measured crossover, or with one thread, every step runs
+  // inline on the caller as one chunk and one band.
+  const size_t threads =
+      n < kMinParallelEntries ? 1
+                              : static_cast<size_t>(ParallelThreadCount());
+  const size_t chunks =
+      threads <= 1 ? 1 : (n + kEntriesPerChunk - 1) / kEntriesPerChunk;
+  auto for_each_chunk = [&](const std::function<void(size_t, size_t,
+                                                     size_t)>& body) {
+    ParallelForIf(chunks > 1, chunks, [&](size_t c) {
+      body(c, c * n / chunks, (c + 1) * n / chunks);
+    });
+  };
+
+  // Bounding box and label range: per-chunk partials folded in chunk
+  // order (min and max are exact, so any order gives the same box).
+  struct Extent {
+    Point lo, hi;
+    int max_label = -1;
+    bool non_negative = true;
+  };
+  std::vector<Extent> extents(chunks);
+  for_each_chunk([&](size_t c, size_t begin, size_t end) {
+    Extent& x = extents[c];
+    x.lo = x.hi = entries[begin].loc;
+    for (size_t i = begin; i < end; ++i) {
+      const Entry& e = entries[i];
+      // Trust boundary: a NaN coordinate would poison the bounding box
+      // and reach an undefined float-to-int conversion in CellOf.
+      TAMP_CHECK_FINITE(e.loc.x);
+      TAMP_CHECK_FINITE(e.loc.y);
+      x.lo.x = std::min(x.lo.x, e.loc.x);
+      x.lo.y = std::min(x.lo.y, e.loc.y);
+      x.hi.x = std::max(x.hi.x, e.loc.x);
+      x.hi.y = std::max(x.hi.y, e.loc.y);
+      x.max_label = std::max(x.max_label, e.label);
+      if (e.label < 0) x.non_negative = false;
+    }
+  });
+  Point max = extents[0].hi;
+  min_ = extents[0].lo;
+  for (const Extent& x : extents) {
+    min_.x = std::min(min_.x, x.lo.x);
+    min_.y = std::min(min_.y, x.lo.y);
+    max.x = std::max(max.x, x.hi.x);
+    max.y = std::max(max.y, x.hi.y);
+    max_label_ = std::max(max_label_, x.max_label);
+    labels_non_negative_ = labels_non_negative_ && x.non_negative;
   }
   // Finite corners can still be further apart than a double can hold.
   const double width = TAMP_CHECK_FINITE(max.x - min_.x);
   const double height = TAMP_CHECK_FINITE(max.y - min_.y);
   const double extent = std::max(width, height);
-  const double num = static_cast<double>(entries.size());
+  const double num = static_cast<double>(n);
   double cell = target_cell_km;
   if (cell <= 0.0) {
     // ~1 point per cell: balances bucket scan length against the number of
@@ -73,20 +113,67 @@ SpatialLabelIndex::SpatialLabelIndex(const std::vector<Entry>& entries,
   // The grid has at most max_cells cells, so both sides fit an int.
   rows_ = static_cast<int>(std::floor(height / cell_km_)) + 1;
   cols_ = static_cast<int>(std::floor(width / cell_km_)) + 1;
+  const size_t num_cells =
+      static_cast<size_t>(rows_) * static_cast<size_t>(cols_);
 
   // Stable counting sort by cell: count, prefix-sum each cell's end, then
   // place the entries back to front, which leaves each cell's offset at
-  // its start and keeps input order within a cell.
-  cell_start_.assign(
-      static_cast<size_t>(rows_) * static_cast<size_t>(cols_) + 1, 0);
-  for (const Entry& e : entries) ++cell_start_[CellOf(e.loc)];
-  for (size_t c = 1; c < cell_start_.size(); ++c) {
-    cell_start_[c] += cell_start_[c - 1];
+  // its start and keeps input order within a cell. Above the crossover the
+  // cells split into contiguous bands, one per thread: every band scans
+  // all entries' cells but counts and places only its own, so the writes
+  // are disjoint and the result is the serial one. Several bands read
+  // every entry's cell, so they compute the cells once up front; one band
+  // computes each cell where it reads it, which saves a pass.
+  const size_t bands = chunks == 1 ? 1 : std::min(kMaxBands, threads);
+  NoInitVector<uint32_t> cell_of(bands > 1 ? n : 0);
+  if (bands > 1) {
+    for_each_chunk([&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        cell_of[i] = static_cast<uint32_t>(CellOf(entries[i].loc));
+      }
+    });
   }
-  entries_.resize(entries.size());
-  for (size_t i = entries.size(); i-- > 0;) {
-    entries_[--cell_start_[CellOf(entries[i].loc)]] = entries[i];
-  }
+  auto cell_at = [&](size_t i) {
+    return bands > 1 ? cell_of[i]
+                     : static_cast<uint32_t>(CellOf(entries[i].loc));
+  };
+  // Each band also zeroes its cells and writes its entries, so the fresh
+  // buffers are first touched on the threads that fill them.
+  cell_start_.resize(num_cells + 1);
+  entries_.resize(n);
+  std::vector<uint32_t> band_base(bands + 1, 0);
+  auto band_of = [&](size_t b) {
+    return std::pair<uint32_t, uint32_t>(
+        static_cast<uint32_t>(b * num_cells / bands),
+        static_cast<uint32_t>((b + 1) * num_cells / bands));
+  };
+  ParallelForIf(bands > 1, bands, [&](size_t b) {
+    const auto [lo, hi] = band_of(b);
+    std::fill(cell_start_.begin() + lo, cell_start_.begin() + hi, 0u);
+    uint32_t total = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t c = cell_at(i);
+      if (c >= lo && c < hi) {
+        ++cell_start_[c];
+        ++total;
+      }
+    }
+    band_base[b + 1] = total;
+  });
+  for (size_t b = 0; b < bands; ++b) band_base[b + 1] += band_base[b];
+  ParallelForIf(bands > 1, bands, [&](size_t b) {
+    const auto [lo, hi] = band_of(b);
+    uint32_t end = band_base[b];
+    for (uint32_t c = lo; c < hi; ++c) {
+      end += cell_start_[c];
+      cell_start_[c] = end;
+    }
+    for (size_t i = n; i-- > 0;) {
+      const uint32_t c = cell_at(i);
+      if (c >= lo && c < hi) entries_[--cell_start_[c]] = entries[i];
+    }
+  });
+  cell_start_[num_cells] = static_cast<uint32_t>(n);
 }
 
 int SpatialLabelIndex::Rank(double offset_km, int n) const {

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/no_init.h"
 #include "geo/grid.h"
 #include "geo/point.h"
 
@@ -54,14 +56,27 @@ class SpatialLabelIndex {
   static constexpr double kMaxCellsPerEntry = 4.0;
   static constexpr double kMinCells = 64.0;
 
+  /// Entries from which the build fans out over the pool, in chunks of
+  /// kEntriesPerChunk entries and at most kMaxBands cell bands: the
+  /// crossover measured by bench_micro_parallel (DESIGN.md §4d). Smaller
+  /// indexes build inline; the result is the same either way.
+  static constexpr size_t kMinParallelEntries = 16384;
+  static constexpr size_t kEntriesPerChunk = 8192;
+  static constexpr size_t kMaxBands = 8;
+
   /// Sorts `entries` into a flat uniform grid over their bounding box.
   /// With `target_cell_km <= 0` the cell size is derived so the grid holds
   /// roughly one point per cell; either way it is clamped to [0.05 km,
   /// longest extent], then widened to the smallest cell whose grid meets
   /// the entry-bounded cell budget above. Aborts on a non-finite
-  /// coordinate.
-  explicit SpatialLabelIndex(const std::vector<Entry>& entries,
+  /// coordinate. The bounding box and the stable counting sort run on the
+  /// deterministic parallel runtime from kMinParallelEntries entries, in
+  /// as many cell bands as threads (at most kMaxBands).
+  explicit SpatialLabelIndex(std::span<const Entry> entries,
                              double target_cell_km = 0.0);
+  explicit SpatialLabelIndex(const std::vector<Entry>& entries,
+                             double target_cell_km = 0.0)
+      : SpatialLabelIndex(std::span<const Entry>(entries), target_cell_km) {}
 
   /// Collects into `out` the ascending, deduplicated labels of every entry
   /// with Distance(entry.loc, center) <= radius_km (closed ball; see class
@@ -93,8 +108,8 @@ class SpatialLabelIndex {
   int cols_ = 1;
   // Flat grid: the entries of cell c are entries_[cell_start_[c]] up to
   // entries_[cell_start_[c + 1]], in input order (a stable counting sort).
-  std::vector<uint32_t> cell_start_ = {0, 0};
-  std::vector<Entry> entries_;
+  NoInitVector<uint32_t> cell_start_ = {0, 0};
+  NoInitVector<Entry> entries_;
   int max_label_ = -1;        // Largest label; sizes the dedup stamps.
   bool labels_non_negative_ = true;
 };

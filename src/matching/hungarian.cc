@@ -129,9 +129,20 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
 MatchResult MaxWeightMatching(int num_left, int num_right,
                               const std::vector<Edge>& edges,
                               MatchingScratch* scratch) {
-  TAMP_CHECK(num_left >= 0 && num_right >= 0);
   MatchResult result;
-  if (num_left == 0 || num_right == 0) return result;
+  MaxWeightMatching(num_left, num_right, edges, scratch, &result);
+  return result;
+}
+
+void MaxWeightMatching(int num_left, int num_right,
+                       std::span<const Edge> edges, MatchingScratch* scratch,
+                       MatchResult* out) {
+  TAMP_CHECK(num_left >= 0 && num_right >= 0);
+  MatchResult& result = *out;
+  result.pairs.clear();
+  result.weights.clear();
+  result.total_weight = 0.0;
+  if (num_left == 0 || num_right == 0) return;
 
   // Validate and scan for the heaviest edge before touching any scratch:
   // an all-filtered (or empty) edge set returns without solving.
@@ -141,7 +152,7 @@ MatchResult MaxWeightMatching(int num_left, int num_right,
     TAMP_CHECK(e.right >= 0 && e.right < num_right);
     max_weight = std::max(max_weight, e.weight);
   }
-  if (max_weight <= 0.0) return result;  // No positive-weight edges.
+  if (max_weight <= 0.0) return;  // No positive-weight edges.
   // Trust boundary: an infinite weight would make the costs below
   // non-finite, which the potentials cannot order.
   TAMP_CHECK_FINITE(max_weight);
@@ -192,9 +203,9 @@ MatchResult MaxWeightMatching(int num_left, int num_right,
   for (size_t k = 0; k < rows * cols; ++k) s.cost[k] = max_weight - s.weight[k];
   SolveLoadedCost(s);
 
-  // Emit in ascending-left order and sum total_weight in that order:
-  // ShardedMaxWeightMatching's merge, and with it every plan and gated
-  // cell, relies on this order. When transposed the lefts are the
+  // Emit in ascending-left order and sum total_weight in that order: the
+  // sharded merge, and with it every plan and gated cell, relies on this
+  // order. When transposed the lefts are the
   // columns, so the columns are walked; otherwise the rows are. A matched
   // zero cell is no edge: its vertices stay unmatched.
   if (transposed) {
@@ -203,6 +214,7 @@ MatchResult MaxWeightMatching(int num_left, int num_right,
       const double w = s.weight[(s.p[j] - 1) * cols + (j - 1)];
       if (w <= 0.0) continue;
       result.pairs.emplace_back(s.left_ids[j - 1], s.right_ids[s.p[j] - 1]);
+      result.weights.push_back(w);
       result.total_weight += w;
     }
   } else {
@@ -215,10 +227,10 @@ MatchResult MaxWeightMatching(int num_left, int num_right,
       const double w = s.weight[i * cols + j];
       if (w <= 0.0) continue;
       result.pairs.emplace_back(s.left_ids[i], s.right_ids[j]);
+      result.weights.push_back(w);
       result.total_weight += w;
     }
   }
-  return result;
 }
 
 Status CheckAssignmentCertificate(const MatchingScratch& scratch) {
@@ -309,6 +321,7 @@ MatchResult GreedyMatching(int num_left, int num_right,
     left_used[l] = 1;
     right_used[r] = 1;
     result.pairs.emplace_back(e.left, e.right);
+    result.weights.push_back(e.weight);
     result.total_weight += e.weight;
   }
   return result;

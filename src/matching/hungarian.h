@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -18,10 +19,11 @@ struct Edge {
   double weight = 0.0;  // Must be positive; non-positive edges are dropped.
 };
 
-/// Result of a matching: the chosen (left, right) pairs and their summed
-/// edge weight.
+/// Result of a matching: the chosen (left, right) pairs, each pair's edge
+/// weight and their sum.
 struct MatchResult {
   std::vector<std::pair<int, int>> pairs;
+  std::vector<double> weights;  // weights[i] belongs to pairs[i].
   double total_weight = 0.0;
 };
 
@@ -81,19 +83,25 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
 /// side of what remains becomes the rows (lefts and rights swap when more
 /// lefts than rights have an edge), so an r x c solve with r <= c costs
 /// O(r^2 c) however many isolated vertices `num_left`/`num_right` span.
-/// Pairs come back in ascending-left order and `total_weight` is summed in
-/// that order, whichever side was the rows.
+/// Pairs come back in ascending-left order, each with its edge weight, and
+/// `total_weight` is summed in that order, whichever side was the rows.
 ///
 /// `num_left`/`num_right` bound the vertex ids appearing in `edges`.
 /// Duplicate edges keep the maximum weight. `scratch` may be null.
 ///
-/// The assigners solve through assign::ShardedMaxWeightMatching, which
-/// calls this once per connected component of the candidate graph; the
-/// direct global call is what the UB/LB bounds use and what the sharding
-/// tests compare against.
+/// The assigners solve through assign::ShardedMaxWeightMatching and
+/// assign::MatchCandidateGraph, which call this once per connected
+/// component of the candidate graph; the direct global call is what the
+/// UB/LB bounds use and what the sharding tests compare against.
 MatchResult MaxWeightMatching(int num_left, int num_right,
                               const std::vector<Edge>& edges,
                               MatchingScratch* scratch = nullptr);
+
+/// The same solve into a caller-owned result, which is cleared first and
+/// keeps its capacity: a hot caller solving many components reuses one.
+void MaxWeightMatching(int num_left, int num_right,
+                       std::span<const Edge> edges, MatchingScratch* scratch,
+                       MatchResult* result);
 
 /// The Kuhn-Munkres optimality certificate of the last solve through
 /// `scratch` (by MinCostAssignment or MaxWeightMatching). With c the

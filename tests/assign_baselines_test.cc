@@ -134,7 +134,7 @@ TEST(GgpsoAssignTest, ProducesValidPlans) {
   }
   GgpsoConfig config;
   config.generations = 20;
-  AssignmentPlan plan = GgpsoAssign(tasks, workers, 0.0, config);
+  AssignmentPlan plan = GgpsoAssign(tasks, workers, 0.0, /*a=*/0.5, config);
   ExpectDisjoint(plan);
 }
 
@@ -147,9 +147,8 @@ TEST(GgpsoAssignTest, FindsTheObviousMatching) {
     workers.push_back(
         MakeWorker(i, {5.0 * i, 0.0}, {{5.0 * i + 0.2, 0.0, 10.0}}));
   }
-  GgpsoConfig config;
-  config.match_radius_km = 0.0;
-  AssignmentPlan plan = GgpsoAssign(tasks, workers, 0.0, config);
+  AssignmentPlan plan =
+      GgpsoAssign(tasks, workers, 0.0, /*a=*/0.0, GgpsoConfig{});
   EXPECT_EQ(plan.pairs.size(), 4u);
 }
 
@@ -161,8 +160,8 @@ TEST(GgpsoAssignTest, DeterministicForSeed) {
   };
   GgpsoConfig config;
   config.seed = 11;
-  AssignmentPlan a = GgpsoAssign(tasks, workers, 0.0, config);
-  AssignmentPlan b = GgpsoAssign(tasks, workers, 0.0, config);
+  AssignmentPlan a = GgpsoAssign(tasks, workers, 0.0, /*a=*/0.5, config);
+  AssignmentPlan b = GgpsoAssign(tasks, workers, 0.0, /*a=*/0.5, config);
   ASSERT_EQ(a.pairs.size(), b.pairs.size());
   for (size_t i = 0; i < a.pairs.size(); ++i) {
     EXPECT_EQ(a.pairs[i].task_index, b.pairs[i].task_index);
@@ -172,7 +171,7 @@ TEST(GgpsoAssignTest, DeterministicForSeed) {
 
 TEST(GgpsoAssignTest, EmptyInputs) {
   GgpsoConfig config;
-  EXPECT_TRUE(GgpsoAssign({}, {}, 0.0, config).pairs.empty());
+  EXPECT_TRUE(GgpsoAssign({}, {}, 0.0, 0.5, config).pairs.empty());
 }
 
 }  // namespace

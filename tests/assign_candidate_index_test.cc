@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,6 +138,45 @@ TEST(CandidateIndexTest, GenerateCandidatesDenseIndexedParity) {
   }
 }
 
+TEST(CandidateIndexTest, GraphMatchesDenseOracleAtEveryThreadCount) {
+  // Batches past kMinParallelCandidatePairs, so both generation passes fan
+  // out: the graph — offsets and rows, after pass 2 closed the gaps pruned
+  // hits left — must equal the dense table row for row at 1/2/4/8
+  // threads, and the index must be gone once the graph exists.
+  tamp::Rng rng(4099);
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<SpatialTask> tasks;
+    std::vector<CandidateWorker> workers;
+    RandomBatch(rng, 300, 60, &tasks, &workers);
+    ASSERT_GE(static_cast<int64_t>(tasks.size() * workers.size()),
+              kMinParallelCandidatePairs);
+    const double a = rng.Uniform(0.0, 1.0);
+    const double now = rng.Uniform(0.0, 10.0);
+    const auto dense = GenerateCandidates(tasks, workers, a, now, nullptr);
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << ", " << threads << " threads");
+      SetParallelThreadCount(threads);
+      std::optional<CandidateIndex> index(std::in_place, workers);
+      CandidateGenStats stats;
+      const CandidateGraph graph =
+          GenerateCandidates(tasks, workers, a, now, index, &stats);
+      EXPECT_FALSE(index.has_value());
+      EXPECT_LT(static_cast<size_t>(stats.evaluated),
+                tasks.size() * workers.size());
+      ASSERT_EQ(graph.num_tasks(), tasks.size());
+      std::vector<std::vector<TaskCandidate>> table(tasks.size());
+      for (size_t t = 0; t < tasks.size(); ++t) {
+        const std::span<const TaskCandidate> rows = graph.RowsOf(t);
+        table[t].assign(rows.begin(), rows.end());
+      }
+      EXPECT_EQ(graph.offsets.back(), graph.rows.size());
+      EXPECT_GT(ExpectSameTable(dense, table), 0u);
+    }
+  }
+  SetParallelThreadCount(0);
+}
+
 TEST(CandidateIndexTest, ObsCountersIncrementExactlyOncePerBuild) {
   // Regression (satellite audit): assign.candidates_pruned must advance by
   // exactly `dense - evaluated` per indexed build — once, not once per
@@ -187,8 +228,8 @@ TEST(CandidateIndexTest, ExpiredTaskPrunesEveryWorker) {
   EXPECT_TRUE(GenerateCandidates(tasks, workers, 0.5, now, &index)[0].empty());
   for (const AssignmentPlan& plan :
        {KmAssign(tasks, workers, now, 0.5),
-        PpiAssign(tasks, workers, now, PpiConfig{}),
-        GgpsoAssign(tasks, workers, now, GgpsoConfig{})}) {
+        PpiAssign(tasks, workers, now, 0.5, PpiConfig{}),
+        GgpsoAssign(tasks, workers, now, 0.5, GgpsoConfig{})}) {
     EXPECT_TRUE(plan.pairs.empty());
   }
 }

@@ -1,7 +1,9 @@
 #include "assign/sharding.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -74,6 +76,51 @@ std::vector<std::vector<TaskCandidate>> TableFromRows(
   return table;
 }
 
+/// A candidate graph holding exactly the given (task, worker) rows, each
+/// with the given dis^min.
+CandidateGraph GraphFromRows(
+    int num_tasks, std::vector<std::pair<std::pair<int, int>, double>> rows) {
+  std::sort(rows.begin(), rows.end());
+  CandidateGraph graph;
+  graph.offsets.assign(static_cast<size_t>(num_tasks) + 1, 0);
+  for (const auto& [pair, min_dis] : rows) {
+    TaskCandidate tc;
+    tc.worker = pair.second;
+    tc.min_dis = min_dis;
+    tc.stage3_feasible = true;
+    graph.rows.push_back(tc);
+    ++graph.offsets[static_cast<size_t>(pair.first) + 1];
+  }
+  for (size_t t = 1; t < graph.offsets.size(); ++t) {
+    graph.offsets[t] += graph.offsets[t - 1];
+  }
+  return graph;
+}
+
+void ExpectSamePlanLayout(const ShardPlan& a, const ShardPlan& b) {
+  ASSERT_EQ(a.shards.size(), b.shards.size());
+  for (size_t s = 0; s < a.shards.size(); ++s) {
+    EXPECT_EQ(a.shards[s].first_task, b.shards[s].first_task);
+    EXPECT_EQ(a.shards[s].num_tasks, b.shards[s].num_tasks);
+    EXPECT_EQ(a.shards[s].first_worker, b.shards[s].first_worker);
+    EXPECT_EQ(a.shards[s].num_workers, b.shards[s].num_workers);
+    EXPECT_EQ(a.shards[s].rows, b.shards[s].rows);
+    EXPECT_EQ(a.shards[s].cost, b.shards[s].cost);
+  }
+  EXPECT_EQ(a.member_tasks, b.member_tasks);
+  EXPECT_EQ(a.member_workers, b.member_workers);
+  EXPECT_EQ(a.shard_of_task, b.shard_of_task);
+  EXPECT_EQ(a.shard_of_worker, b.shard_of_worker);
+  EXPECT_EQ(a.local_of_task, b.local_of_task);
+  EXPECT_EQ(a.local_of_worker, b.local_of_worker);
+  EXPECT_EQ(a.total_rows, b.total_rows);
+  EXPECT_EQ(a.max_rows, b.max_rows);
+}
+
+std::vector<int> Members(std::span<const int> members) {
+  return {members.begin(), members.end()};
+}
+
 TEST(ShardPlanTest, ComponentsMembershipAndCountersOnHandBuiltTable) {
   // t0-w0, t0-w1, t1-w1 form one component; t2-w3 a second; t3 has no rows
   // and w2/w4 are never referenced, so all three stay unsharded.
@@ -89,18 +136,73 @@ TEST(ShardPlanTest, ComponentsMembershipAndCountersOnHandBuiltTable) {
   EXPECT_EQ(count_counter.value() - count_before, 2);
 
   ASSERT_EQ(plan.shards.size(), 2u);
-  // LPT: the 3-row component costs 3*4=12, the 1-row one 1*2=2.
-  EXPECT_EQ(plan.shards[0].tasks, (std::vector<int>{0, 1}));
-  EXPECT_EQ(plan.shards[0].workers, (std::vector<int>{0, 1}));
+  // LPT: the 2 x 2 component of 3 rows costs more than the 1 x 1 one.
+  EXPECT_EQ(Members(plan.TasksOf(0)), (std::vector<int>{0, 1}));
+  EXPECT_EQ(Members(plan.WorkersOf(0)), (std::vector<int>{0, 1}));
   EXPECT_EQ(plan.shards[0].rows, 3);
-  EXPECT_EQ(plan.shards[0].cost, 12);
-  EXPECT_EQ(plan.shards[1].tasks, (std::vector<int>{2}));
-  EXPECT_EQ(plan.shards[1].workers, (std::vector<int>{3}));
+  EXPECT_EQ(plan.shards[0].cost, 2 * 2 * 2);
+  EXPECT_EQ(Members(plan.TasksOf(1)), (std::vector<int>{2}));
+  EXPECT_EQ(Members(plan.WorkersOf(1)), (std::vector<int>{3}));
   EXPECT_EQ(plan.shards[1].rows, 1);
+  EXPECT_EQ(plan.shards[1].cost, 1);
   EXPECT_EQ(plan.shard_of_task, (std::vector<int>{0, 0, 1, -1}));
   EXPECT_EQ(plan.shard_of_worker, (std::vector<int>{0, 0, -1, 1, -1}));
+  EXPECT_EQ(plan.local_of_task, (std::vector<int>{0, 1, 0, -1}));
+  EXPECT_EQ(plan.local_of_worker, (std::vector<int>{0, 1, -1, 0, -1}));
   EXPECT_EQ(plan.total_rows, 4);
   EXPECT_EQ(plan.max_rows, 3);
+}
+
+TEST(ShardPlanTest, LargeGraphPlanIsThreadInvariant) {
+  // Enough rows for the concurrent union pass: ~400 interleaved
+  // components of random size. The plan built at 2/4/8 threads must equal
+  // the 1-thread plan field by field, and the table adapter must build the
+  // same plan from the same rows.
+  tamp::Rng rng(31337);
+  const int num_components = 400;
+  std::vector<int> task_component, worker_component;
+  for (int c = 0; c < num_components; ++c) {
+    task_component.insert(task_component.end(),
+                          static_cast<size_t>(rng.UniformInt(1, 40)), c);
+    worker_component.insert(worker_component.end(),
+                            static_cast<size_t>(rng.UniformInt(1, 60)), c);
+  }
+  rng.Shuffle(task_component);
+  rng.Shuffle(worker_component);
+  const int num_tasks = static_cast<int>(task_component.size());
+  const int num_workers = static_cast<int>(worker_component.size()) + 7;
+  std::vector<std::vector<int>> workers_of(num_components);
+  for (size_t w = 0; w < worker_component.size(); ++w) {
+    workers_of[static_cast<size_t>(worker_component[w])].push_back(
+        static_cast<int>(w));
+  }
+  std::vector<std::pair<std::pair<int, int>, double>> rows;
+  std::vector<std::pair<int, int>> pairs;
+  for (int t = 0; t < num_tasks; ++t) {
+    for (int w : workers_of[static_cast<size_t>(
+             task_component[static_cast<size_t>(t)])]) {
+      if (!rng.Bernoulli(0.7)) continue;
+      rows.push_back({{t, w}, rng.Uniform(0.0, 2.0)});
+      pairs.emplace_back(t, w);
+    }
+  }
+  ASSERT_GE(static_cast<int64_t>(rows.size()), kMinParallelPlanRows);
+  const CandidateGraph graph = GraphFromRows(num_tasks, rows);
+  SetParallelThreadCount(1);
+  const ShardPlan serial = BuildShardPlan(graph, num_workers);
+  EXPECT_GE(serial.shards.size(), static_cast<size_t>(num_components));
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    SetParallelThreadCount(threads);
+    ExpectSamePlanLayout(serial, BuildShardPlan(graph, num_workers));
+  }
+  SetParallelThreadCount(0);
+  std::vector<SpatialTask> tasks;
+  std::vector<CandidateWorker> workers;
+  IdentityBatch(num_tasks, num_workers, &tasks, &workers);
+  ExpectSamePlanLayout(serial,
+                       BuildShardPlan(TableFromRows(num_tasks, pairs), tasks,
+                                      workers));
 }
 
 TEST(ShardPlanTest, LptOrdersShardsByCostDescending) {
@@ -114,8 +216,8 @@ TEST(ShardPlanTest, LptOrdersShardsByCostDescending) {
   ShardPlan plan = BuildShardPlan(table, tasks, workers);
   ASSERT_EQ(plan.shards.size(), 2u);
   EXPECT_GT(plan.shards[0].cost, plan.shards[1].cost);
-  EXPECT_EQ(plan.shards[0].tasks, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(plan.shards[1].tasks, (std::vector<int>{0}));
+  EXPECT_EQ(Members(plan.TasksOf(0)), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(Members(plan.TasksOf(1)), (std::vector<int>{0}));
   EXPECT_EQ(plan.shard_of_task, (std::vector<int>{1, 0, 0, 0}));
 }
 
@@ -286,6 +388,60 @@ TEST(ShardedMatchingTest, KmFuzzSuiteAtEveryThreadCount) {
         ExpectSameMatch(first, sharded);
       }
       if (!inst.tied) ExpectSameMatch(global, sharded);
+    }
+  }
+  SetParallelThreadCount(0);
+  EXPECT_GE(instances, 1000);
+}
+
+TEST(ShardedMatchingTest, KmFuzzSuiteThroughTheCandidateGraph) {
+  // The same instances as KM's graph solve sees them: one row per
+  // positive (task, worker) pair, its dis^min the pair's largest weight,
+  // so every edge weighs 1 / (dis^min + floor) in both solves.
+  // MatchCandidateGraph must give the global solve's total at 1/2/4/8
+  // threads, bitwise the 1-thread result, and on continuous weights
+  // bitwise the global solve, per-pair weights included.
+  constexpr double kFloor = 1e-3;
+  int instances = 0;
+  for (const matching::FuzzInstance& inst :
+       matching::KmFuzzInstances(20261020)) {
+    SCOPED_TRACE(::testing::Message() << inst.family << " instance "
+                                      << instances << ": " << inst.num_left
+                                      << " x " << inst.num_right);
+    ++instances;
+    std::map<std::pair<int, int>, double> best;
+    for (const matching::Edge& e : inst.edges) {
+      if (e.weight <= 0.0) continue;
+      double& w = best[{e.left, e.right}];
+      w = std::max(w, e.weight);
+    }
+    std::vector<std::pair<std::pair<int, int>, double>> rows(best.begin(),
+                                                             best.end());
+    std::vector<matching::Edge> edges;
+    for (const auto& [pair, min_dis] : rows) {
+      edges.push_back({pair.first, pair.second, 1.0 / (min_dis + kFloor)});
+    }
+    const CandidateGraph graph = GraphFromRows(inst.num_left, rows);
+    const ShardPlan plan = BuildShardPlan(graph, inst.num_right);
+    const matching::MatchResult global =
+        matching::MaxWeightMatching(inst.num_left, inst.num_right, edges);
+    matching::MatchResult first;
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads");
+      SetParallelThreadCount(threads);
+      const matching::MatchResult sharded =
+          MatchCandidateGraph(graph, plan, kFloor);
+      ExpectValidMatching(sharded, edges);
+      EXPECT_NEAR(sharded.total_weight, global.total_weight, 1e-9);
+      if (threads == 1) {
+        first = sharded;
+      } else {
+        ExpectSameMatch(first, sharded);
+      }
+      if (!inst.tied) {
+        ExpectSameMatch(global, sharded);
+        EXPECT_EQ(global.weights, sharded.weights);
+      }
     }
   }
   SetParallelThreadCount(0);

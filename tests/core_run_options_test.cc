@@ -88,12 +88,10 @@ TEST(RunOptionsValidateTest, RejectsOutOfRangeFields) {
         {&o.sim.sample_period_min, "sim.sample_period_min"},
         {&o.sim.match_radius_km, "sim.match_radius_km"},
         {&o.sim.service_time_min, "sim.service_time_min"},
-        {&o.sim.ppi.match_radius_km, "sim.ppi.match_radius_km"},
         {&o.sim.ppi.weight_floor_km, "sim.ppi.weight_floor_km"},
         {&o.sim.ggpso.crossover_rate, "sim.ggpso.crossover_rate"},
         {&o.sim.ggpso.mutation_rate, "sim.ggpso.mutation_rate"},
         {&o.sim.ggpso.cost_weight, "sim.ggpso.cost_weight"},
-        {&o.sim.ggpso.match_radius_km, "sim.ggpso.match_radius_km"},
     };
   };
   core::RunOptions probe;

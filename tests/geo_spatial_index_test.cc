@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace tamp::geo {
@@ -171,6 +172,43 @@ TEST(SpatialLabelIndexTest, MatchesBruteForceOnRandomData) {
     EXPECT_EQ(out, BruteLabels(entries, center, radius))
         << "center=(" << center.x << "," << center.y << ") r=" << radius;
   }
+}
+
+TEST(SpatialLabelIndexTest, ParallelBuildMatchesBruteForceAtEveryThreadCount) {
+  // Past kMinParallelEntries the bounding box, the cell ids and the banded
+  // counting sort run on the pool. Clustered points over a wide box, as a
+  // fleet's are; every thread count must give brute force's answers and
+  // the same grid.
+  tamp::Rng rng(16411);
+  std::vector<SpatialLabelIndex::Entry> entries;
+  const size_t n = SpatialLabelIndex::kMinParallelEntries + 3001;
+  for (size_t i = 0; i < n; ++i) {
+    const double cx = 40.0 * static_cast<double>(rng.UniformInt(0, 30));
+    const double cy = 40.0 * static_cast<double>(rng.UniformInt(0, 30));
+    entries.push_back({{cx + rng.Uniform(-1.0, 1.0),
+                        cy + rng.Uniform(-1.0, 1.0)},
+                       static_cast<int>(rng.UniformInt(0, 5000))});
+  }
+  size_t cells = 0;
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    tamp::SetParallelThreadCount(threads);
+    SpatialLabelIndex index(entries, 0.5);
+    EXPECT_EQ(index.num_entries(), n);
+    if (threads == 1) cells = index.num_cells();
+    EXPECT_EQ(index.num_cells(), cells);
+    tamp::Rng query_rng(7);
+    std::vector<int> out;
+    SpatialLabelIndex::QueryScratch scratch;
+    for (int q = 0; q < 60; ++q) {
+      const Point center{query_rng.Uniform(-5.0, 1205.0),
+                         query_rng.Uniform(-5.0, 1205.0)};
+      const double radius = query_rng.Uniform(0.0, 45.0);
+      index.CollectLabelsWithin(center, radius, out, &scratch);
+      EXPECT_EQ(out, BruteLabels(entries, center, radius));
+    }
+  }
+  tamp::SetParallelThreadCount(0);
 }
 
 /// The entry-bounded cell budget of SpatialLabelIndex over `n` entries.

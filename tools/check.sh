@@ -132,11 +132,21 @@ bench_gate_stage() {
   # Geo-sharded assignment at fleet scale (W = 1k/10k/100k synthetic
   # clustered fleets): shard counts, max shard size, candidate rows and
   # matched pairs are pure functions of the synthesis seeds and gate
-  # bitwise; assign_per_s and the `_s` stage clocks stay advisory.
+  # bitwise; assign_per_s and the `_s` stage clocks stay advisory. The run
+  # pins 4 threads, so the fan-outs run whatever the host's default.
   run_stage "bench-run-scale" env TAMP_BENCH_JSON_DIR="$dir" \
-            "$dir/bench/bench_scale" || return 1
+            "$dir/bench/bench_scale" --threads=4 || return 1
   run_stage "bench-gate-scale" "$compare" \
             "$baselines/BENCH_scale.json" \
+            "$dir/BENCH_scale.json" || return 1
+  # Thread invariance at fleet scale: a 1-thread run takes every inline
+  # branch of the index build, both generation passes, the union pass and
+  # the shard solves, and its fleets' counts must equal the 4-thread run's.
+  mkdir -p "$dir/scale-threads1"
+  run_stage "bench-run-scale-threads1" "$dir/bench/bench_scale" \
+            --threads=1 --json-dir="$dir/scale-threads1" || return 1
+  run_stage "bench-gate-scale-threads-invariance" "$compare" \
+            "$dir/scale-threads1/BENCH_scale.json" \
             "$dir/BENCH_scale.json" || return 1
   # Fig. 7 (tasks sweep, Porto): its 105 completion / rejection / cost
   # cells and the obs work counts (candidate evaluations, KM solves, ...)
