@@ -1,10 +1,10 @@
 // Micro-benchmarks of the LSTM encoder-decoder: forward inference (what
-// every online batch pays per worker), the training step (what meta-
-// training pays per sample), and the fleet-wide forecast rollout — the
-// per-worker scalar chain against the batched SoA engine
-// (nn::BatchedSeq2Seq), with distinct per-worker parameters (one 1-column
-// tile per worker, fanned out over the pool) and a shared parameter
-// vector (64-column GEMM tiles).
+// every online batch pays per worker), the scalar training step and the
+// batched training pass (what meta-training pays per sample), and the
+// fleet-wide forecast rollout — the per-worker scalar chain against the
+// batched SoA engine (nn::BatchedSeq2Seq), with distinct per-worker
+// parameters (one 1-column tile per worker, fanned out over the pool) and
+// a shared parameter vector (64-column GEMM tiles).
 // RegisterMicroMetrics records the deterministic nn.* work counts that
 // tools/bench_compare gates on.
 #include <benchmark/benchmark.h>
@@ -16,6 +16,8 @@
 #include "common/rng.h"
 #include "core/rollout.h"
 #include "geo/grid.h"
+#include "meta/learning_task.h"
+#include "meta/meta_training.h"
 #include "nn/batched_seq2seq.h"
 #include "nn/encoder_decoder.h"
 
@@ -160,6 +162,50 @@ void BM_EncoderDecoderTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncoderDecoderTrainStep)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+/// The training pass TAML and fine-tuning pay per step
+/// (meta::BatchLossAndGradient: SoA tiles of at most kTrainTileCols
+/// samples on the calling thread) at the e2e shape (hidden 16, input 3,
+/// seq_in 5, seq_out 1, Eq. 7-style step weights) over Arg samples; 204 is
+/// a porto fine-tune set. Time / Arg is the per-sample cost to set beside
+/// BM_EncoderDecoderTrainStep/16.
+void BM_BatchLossAndGradient(benchmark::State& state) {
+  tamp::nn::Seq2SeqConfig config;
+  config.input_dim = 3;
+  config.hidden_dim = 16;
+  tamp::Rng rng(11);
+  tamp::nn::EncoderDecoder model(config);
+  const std::vector<double> params = model.InitParams(rng);
+  std::vector<tamp::meta::TrainingSample> samples(
+      static_cast<size_t>(state.range(0)));
+  for (tamp::meta::TrainingSample& sample : samples) {
+    for (int t = 0; t < kSeqIn; ++t) {
+      sample.input.push_back(
+          {rng.Uniform01(), rng.Uniform01(), rng.Uniform01()});
+    }
+    sample.target.push_back({rng.Uniform01(), rng.Uniform01()});
+    sample.target_km.push_back(
+        {sample.target[0][0] * 28.0, sample.target[0][1] * 14.0});
+  }
+  tamp::meta::MetaTrainConfig meta_config;
+  meta_config.weight_fn = [](const tamp::geo::Point& p) {
+    return 1.0 + 0.05 * p.x;
+  };
+  const std::vector<std::vector<double>> weights =
+      tamp::meta::BatchSampleWeights(meta_config, samples);
+  std::vector<double> grad(params.size(), 0.0);
+  for (auto _ : state) {
+    std::fill(grad.begin(), grad.end(), 0.0);
+    const double loss = tamp::meta::BatchLossAndGradient(model, params,
+                                                         samples, weights,
+                                                         grad);
+    benchmark::DoNotOptimize(loss);
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BatchLossAndGradient)->Arg(1)->Arg(16)->Arg(204);
 
 void BM_PredictBySeqIn(benchmark::State& state) {
   tamp::nn::Seq2SeqConfig config;

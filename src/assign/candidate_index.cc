@@ -15,19 +15,24 @@ NoInitVector<geo::SpatialLabelIndex::Entry> PlatformVisiblePoints(
     const std::vector<CandidateWorker>& workers) {
   // Each worker's entries are its predicted points, then its current
   // location, in worker order; chunk c's entries start at first[c],
-  // whichever thread writes them.
+  // whichever thread writes them. One chunk starts at 0 and needs only the
+  // total.
   const size_t chunks =
       (workers.size() + kWorkersPerChunk - 1) / kWorkersPerChunk;
-  std::vector<size_t> first(chunks + 1, 0);
+  std::vector<size_t> first(chunks > 1 ? chunks + 1 : 0, 0);
+  size_t total = 0;
   for (size_t i = 0; i < workers.size(); ++i) {
-    first[i / kWorkersPerChunk + 1] += workers[i].predicted.size() + 1;
+    const size_t count = workers[i].predicted.size() + 1;
+    total += count;
+    if (chunks > 1) first[i / kWorkersPerChunk + 1] += count;
   }
-  for (size_t c = 0; c < chunks; ++c) first[c + 1] += first[c];
-  NoInitVector<geo::SpatialLabelIndex::Entry> entries(first.back());
+  for (size_t c = 1; c < first.size(); ++c) first[c] += first[c - 1];
+  NoInitVector<geo::SpatialLabelIndex::Entry> entries(total);
   auto gather = [&](size_t chunk) {
     const size_t end =
         std::min(workers.size(), (chunk + 1) * kWorkersPerChunk);
-    geo::SpatialLabelIndex::Entry* out = entries.data() + first[chunk];
+    geo::SpatialLabelIndex::Entry* out =
+        entries.data() + (chunks > 1 ? first[chunk] : 0);
     for (size_t i = chunk * kWorkersPerChunk; i < end; ++i) {
       const CandidateWorker& w = workers[i];
       const int label = static_cast<int>(i);
@@ -39,9 +44,8 @@ NoInitVector<geo::SpatialLabelIndex::Entry> PlatformVisiblePoints(
     }
   };
   // The same crossover as the index build it feeds.
-  ParallelForIf(
-      entries.size() >= geo::SpatialLabelIndex::kMinParallelEntries,
-      chunks, gather);
+  ParallelForIf(total >= geo::SpatialLabelIndex::kMinParallelEntries, chunks,
+                gather);
   return entries;
 }
 

@@ -173,18 +173,11 @@ void SetParallelThreadCount(int threads) {
 bool InParallelRegion() { return tls_in_region; }
 
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  ParallelForIf(true, n, fn);
-}
-
-void ParallelForIf(bool fan_out, size_t n,
-                   const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  // Without an override the thread count reads the environment and the
-  // CPU count, which an inline call need not pay.
-  const int threads = fan_out ? ParallelThreadCount() : 1;
-  // Serial path: not worth a region, configured serial, trivial batch, or
-  // nested inside a running region (the pool is busy; inline keeps
-  // progress + determinism).
+  const int threads = ParallelThreadCount();
+  // Serial path: configured serial, trivial batch, or nested inside a
+  // running region (the pool is busy; inline keeps progress +
+  // determinism).
   if (threads <= 1 || n == 1 || tls_in_region) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;

@@ -60,9 +60,17 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
 /// ParallelFor when `fan_out`, else the same loop inline on the caller:
 /// how a work-gated call site skips a pool region its work would not pay
-/// back (DESIGN.md §4d). The result is the same either way.
-void ParallelForIf(bool fan_out, size_t n,
-                   const std::function<void(size_t)>& fn);
+/// back (DESIGN.md §4d). The result is the same either way. The inline
+/// loop calls `fn` directly: it reads no thread count and builds no
+/// std::function, so a small gated call allocates nothing.
+template <typename Fn>
+void ParallelForIf(bool fan_out, size_t n, Fn&& fn) {
+  if (!fan_out) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ParallelFor(n, fn);
+}
 
 /// Maps fn over [0, n) into a vector with out[i] = fn(i). T must be
 /// default-constructible and movable.

@@ -1,9 +1,9 @@
 #include "geo/spatial_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <utility>
 
@@ -37,7 +37,10 @@ double SmallestCellWithin(double width, double height, double max_cells) {
 
 SpatialLabelIndex::SpatialLabelIndex(std::span<const Entry> entries,
                                      double target_cell_km) {
-  if (entries.empty()) return;
+  if (entries.empty()) {
+    cell_start_.assign(2, 0u);
+    return;
+  }
   const size_t n = entries.size();
   // A pool region costs more than a small index's build (DESIGN.md §4d):
   // below the measured crossover, or with one thread, every step runs
@@ -47,21 +50,23 @@ SpatialLabelIndex::SpatialLabelIndex(std::span<const Entry> entries,
                               : static_cast<size_t>(ParallelThreadCount());
   const size_t chunks =
       threads <= 1 ? 1 : (n + kEntriesPerChunk - 1) / kEntriesPerChunk;
-  auto for_each_chunk = [&](const std::function<void(size_t, size_t,
-                                                     size_t)>& body) {
+  auto for_each_chunk = [&](auto&& body) {
     ParallelForIf(chunks > 1, chunks, [&](size_t c) {
       body(c, c * n / chunks, (c + 1) * n / chunks);
     });
   };
 
   // Bounding box and label range: per-chunk partials folded in chunk
-  // order (min and max are exact, so any order gives the same box).
+  // order (min and max are exact, so any order gives the same box). One
+  // chunk keeps its partial on the stack.
   struct Extent {
     Point lo, hi;
     int max_label = -1;
     bool non_negative = true;
   };
-  std::vector<Extent> extents(chunks);
+  Extent single;
+  std::vector<Extent> per_chunk(chunks > 1 ? chunks : 0);
+  Extent* extents = chunks > 1 ? per_chunk.data() : &single;
   for_each_chunk([&](size_t c, size_t begin, size_t end) {
     Extent& x = extents[c];
     x.lo = x.hi = entries[begin].loc;
@@ -81,7 +86,8 @@ SpatialLabelIndex::SpatialLabelIndex(std::span<const Entry> entries,
   });
   Point max = extents[0].hi;
   min_ = extents[0].lo;
-  for (const Extent& x : extents) {
+  for (size_t c = 0; c < chunks; ++c) {
+    const Extent& x = extents[c];
     min_.x = std::min(min_.x, x.lo.x);
     min_.y = std::min(min_.y, x.lo.y);
     max.x = std::max(max.x, x.hi.x);
@@ -141,7 +147,7 @@ SpatialLabelIndex::SpatialLabelIndex(std::span<const Entry> entries,
   // buffers are first touched on the threads that fill them.
   cell_start_.resize(num_cells + 1);
   entries_.resize(n);
-  std::vector<uint32_t> band_base(bands + 1, 0);
+  std::array<uint32_t, kMaxBands + 1> band_base{};
   auto band_of = [&](size_t b) {
     return std::pair<uint32_t, uint32_t>(
         static_cast<uint32_t>(b * num_cells / bands),

@@ -108,7 +108,7 @@ class SpatialLabelIndex {
   int cols_ = 1;
   // Flat grid: the entries of cell c are entries_[cell_start_[c]] up to
   // entries_[cell_start_[c + 1]], in input order (a stable counting sort).
-  NoInitVector<uint32_t> cell_start_ = {0, 0};
+  NoInitVector<uint32_t> cell_start_;
   NoInitVector<Entry> entries_;
   int max_label_ = -1;        // Largest label; sizes the dedup stamps.
   bool labels_non_negative_ = true;

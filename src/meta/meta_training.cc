@@ -1,11 +1,13 @@
 #include "meta/meta_training.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
 #include "common/parallel.h"
+#include "nn/batched_seq2seq.h"
 #include "nn/optimizer.h"
 
 namespace tamp::meta {
@@ -17,6 +19,15 @@ std::vector<double> SampleWeights(const MetaTrainConfig& config,
   weights.reserve(sample.target_km.size());
   for (const auto& p : sample.target_km) weights.push_back(config.weight_fn(p));
   return weights;
+}
+
+size_t EqualLengthRunEnd(const std::vector<TrainingSample>& samples,
+                         size_t begin) {
+  TAMP_CHECK(begin < samples.size());
+  const size_t length = samples[begin].input.size();
+  size_t end = begin + 1;
+  while (end < samples.size() && samples[end].input.size() == length) ++end;
+  return end;
 }
 
 std::vector<std::vector<double>> BatchSampleWeights(
@@ -38,17 +49,28 @@ double BatchLossAndGradient(const nn::EncoderDecoder& model,
   TAMP_CHECK(!samples.empty());
   TAMP_CHECK(grad.size() == params.size());
   TAMP_CHECK(weights.empty() || weights.size() == samples.size());
-  static const std::vector<double> kUniform;
-  std::vector<double> sample_grad(params.size(), 0.0);
+  // The engine is a view of the model's layout (a few integers), and the
+  // scratch is grow-only per thread, so a call allocates nothing once warm.
+  const nn::BatchedSeq2Seq engine(model.config());
+  thread_local nn::TrainScratch scratch;
+  std::array<nn::TrainSample, nn::BatchedSeq2Seq::kTrainTileCols> tile;
+  const double inv = 1.0 / static_cast<double>(samples.size());
   double loss_sum = 0.0;
-  double inv = 1.0 / static_cast<double>(samples.size());
-  for (size_t s = 0; s < samples.size(); ++s) {
-    const TrainingSample& sample = samples[s];
-    std::fill(sample_grad.begin(), sample_grad.end(), 0.0);
-    loss_sum += model.LossAndGradient(params, sample.input, sample.target,
-                                      weights.empty() ? kUniform : weights[s],
-                                      sample_grad);
-    for (size_t i = 0; i < grad.size(); ++i) grad[i] += sample_grad[i] * inv;
+  // Tiles: each maximal run of equal-length samples, cut into pieces of
+  // at most kTrainTileCols.
+  size_t begin = 0;
+  while (begin < samples.size()) {
+    const size_t run_end = EqualLengthRunEnd(samples, begin);
+    while (begin < run_end) {
+      const size_t end = std::min(run_end, begin + tile.size());
+      for (size_t s = begin; s < end; ++s) {
+        tile[s - begin] = {&samples[s].input, &samples[s].target,
+                           weights.empty() ? nullptr : &weights[s]};
+      }
+      engine.TrainTile(params, {tile.data(), end - begin}, inv, loss_sum,
+                       grad, scratch);
+      begin = end;
+    }
   }
   // Plain division (not * inv) keeps the loss bit-identical to the
   // pre-optimization code path.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -69,9 +70,23 @@ std::vector<double> SampleWeights(const MetaTrainConfig& config,
 std::vector<std::vector<double>> BatchSampleWeights(
     const MetaTrainConfig& config, const std::vector<TrainingSample>& samples);
 
+/// End of the maximal run of consecutive samples from `begin` whose inputs
+/// have samples[begin]'s length: one forecast batch of Evaluate, and the
+/// span BatchLossAndGradient cuts into training tiles.
+size_t EqualLengthRunEnd(const std::vector<TrainingSample>& samples,
+                         size_t begin);
+
 /// Average training loss and (accumulated) gradient of `params` over a set
 /// of samples. Returns the mean loss; the mean gradient is *added* into
 /// `grad` (which must be zeroed by the caller if desired).
+///
+/// The samples run on the calling thread through the SoA training engine
+/// (nn::BatchedSeq2Seq::TrainTile) in tiles of consecutive equal-length
+/// samples, at most kTrainTileCols wide (each maximal run of one input
+/// length cut in order), on a grow-only per-thread scratch. The loss and
+/// gradient are bitwise equal to summing EncoderDecoder::LossAndGradient
+/// sample by sample (each sample's gradient from zero, added * 1/n in
+/// sample order; DESIGN.md §4i).
 double BatchLossAndGradient(const nn::EncoderDecoder& model,
                             const std::vector<double>& params,
                             const std::vector<TrainingSample>& samples,

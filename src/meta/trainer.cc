@@ -231,49 +231,42 @@ EvalResult MobilityTrainer::Evaluate(const TrainedModels& models,
     const std::vector<TrainingSample>& eval = tasks[w].eval;
     // Per-pool-thread reusable forward buffers: outputs never depend on
     // scratch contents, so the fan-out stays bit-deterministic.
-    thread_local nn::PredictScratch predict_scratch;
     thread_local nn::BatchedSeq2SeqScratch batch_scratch;
     thread_local std::vector<const std::vector<double>*> row_params;
     thread_local std::vector<const nn::Sequence*> batch_inputs;
     thread_local std::vector<nn::Sequence> batch_preds;
-    // All of this worker's samples share worker_params[w], so the whole
-    // eval set runs as one shared-parameter (GEMM) batch; the scalar path
-    // serves non-uniform sample lengths.
-    bool batched = !eval.empty();
-    for (size_t i = 1; batched && i < eval.size(); ++i) {
-      if (eval[i].input.size() != eval.front().input.size()) batched = false;
-    }
-    if (batched) {
-      row_params.assign(eval.size(), &models.worker_params[w]);
-      batch_inputs.resize(eval.size());
-      for (size_t i = 0; i < eval.size(); ++i) {
-        batch_inputs[i] = &eval[i].input;
+    double worker_se = 0.0, worker_ae = 0.0;
+    int worker_matched = 0, worker_points = 0;
+    // All of this worker's samples share worker_params[w], so each run of
+    // equal-length windows is one shared-parameter (GEMM) batch; the
+    // distances then accumulate in sample order, run after run.
+    for (size_t begin = 0; begin < eval.size();) {
+      const size_t end = EqualLengthRunEnd(eval, begin);
+      row_params.assign(end - begin, &models.worker_params[w]);
+      batch_inputs.resize(end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        batch_inputs[i - begin] = &eval[i].input;
       }
       batched_model_.PredictBatch(row_params, batch_inputs, &batch_preds,
                                   batch_scratch);
-    }
-    double worker_se = 0.0, worker_ae = 0.0;
-    int worker_matched = 0, worker_points = 0;
-    for (size_t i = 0; i < eval.size(); ++i) {
-      const TrainingSample& sample = eval[i];
-      nn::Sequence scalar_pred;
-      if (!batched) {
-        scalar_pred = model_.Predict(models.worker_params[w], sample.input,
-                                     &predict_scratch);
+      for (size_t i = begin; i < end; ++i) {
+        const TrainingSample& sample = eval[i];
+        const nn::Sequence& pred = batch_preds[i - begin];
+        for (size_t t = 0; t < pred.size(); ++t) {
+          geo::Point pred_km = grid.Denormalize({pred[t][0], pred[t][1]});
+          geo::Point true_km =
+              grid.Denormalize({sample.target[t][0], sample.target[t][1]});
+          // A NaN distance (a corrupt model) must abort here rather than
+          // silently count as unmatched (Def. 7) and skew the PPI
+          // objective.
+          double d = TAMP_CHECK_FINITE(geo::Distance(pred_km, true_km));
+          worker_se += d * d;
+          worker_ae += d;
+          if (d <= match_radius_km) ++worker_matched;
+          ++worker_points;
+        }
       }
-      const nn::Sequence& pred = batched ? batch_preds[i] : scalar_pred;
-      for (size_t t = 0; t < pred.size(); ++t) {
-        geo::Point pred_km = grid.Denormalize({pred[t][0], pred[t][1]});
-        geo::Point true_km =
-            grid.Denormalize({sample.target[t][0], sample.target[t][1]});
-        // A NaN distance (a corrupt model) must abort here rather than
-        // silently count as unmatched (Def. 7) and skew the PPI objective.
-        double d = TAMP_CHECK_FINITE(geo::Distance(pred_km, true_km));
-        worker_se += d * d;
-        worker_ae += d;
-        if (d <= match_radius_km) ++worker_matched;
-        ++worker_points;
-      }
+      begin = end;
     }
     PredictionMetrics& pm = result.per_worker[w];
     pm.num_points = worker_points;

@@ -100,12 +100,12 @@ class MobilityTrainer {
   /// Evaluates trained models on every task's held-out `eval` samples.
   /// `match_radius_km` is the matching-rate threshold a (Def. 7).
   ///
-  /// Each worker's samples share one parameter vector, so they run as one
-  /// batch through the SoA forecast engine (nn::BatchedSeq2Seq): every
-  /// encoder/decoder step is a true GEMM across the samples. A worker whose
-  /// eval windows differ in length falls back to the per-sample scalar
-  /// Predict; both are bitwise identical (nn_batched_forecast_test checks
-  /// Evaluate against a per-sample scalar oracle).
+  /// Each worker's samples share one parameter vector, so every run of
+  /// equal-length eval windows (EqualLengthRunEnd) is one batch through the
+  /// SoA forecast engine (nn::BatchedSeq2Seq): every encoder/decoder step
+  /// is a true GEMM across the samples, bitwise equal to the per-sample
+  /// scalar Predict (nn_batched_forecast_test checks Evaluate against a
+  /// per-sample scalar oracle).
   EvalResult Evaluate(const TrainedModels& models,
                       const std::vector<LearningTask>& tasks,
                       const geo::GridSpec& grid,

@@ -33,10 +33,13 @@ constexpr size_t kColBlock = 4;
 /// then w1[k] * in1[k] in ascending k, then w2 — with kColBlock columns'
 /// accumulators kept in registers and the weight element shared across
 /// them; a 1-column tile runs the trailing single-column loop, which is
-/// the scalar chain itself.
-void RowTimesTile(double bias, const double* w1, const double* in1,
-                  size_t n1, const double* w2, const double* in2, size_t n2,
-                  size_t width, double* out) {
+/// the scalar chain itself. `inline` (here and on ReadoutStep) keeps the
+/// forecast's CellStep and RunTile inlining these as they did before the
+/// training pass shared them: called out of line, porto's replay lost
+/// ~6% tasks_per_s.
+inline void RowTimesTile(double bias, const double* w1, const double* in1,
+                         size_t n1, const double* w2, const double* in2,
+                         size_t n2, size_t width, double* out) {
   size_t col = 0;
   for (; col + kColBlock <= width; col += kColBlock) {
     double acc[kColBlock];
@@ -61,23 +64,51 @@ void RowTimesTile(double bias, const double* w1, const double* in1,
   }
 }
 
+/// out[col] = 0.0 + in[0][col] * w[0] + in[1][col] * w[stride] + ... over
+/// a tile's columns, r ascending: one column of a row-major weight matrix
+/// against an [n] x width block, i.e. a row of the backward's W^T dz.
+/// Per column this is LstmCell::Backward's (and Linear::Backward's) input
+/// gradient chain, blocked over columns like RowTimesTile.
+void ColumnTimesTile(const double* w, size_t stride, const double* in,
+                     size_t n, size_t width, double* out) {
+  size_t col = 0;
+  for (; col + kColBlock <= width; col += kColBlock) {
+    double acc[kColBlock];
+    for (size_t j = 0; j < kColBlock; ++j) acc[j] = 0.0;
+    for (size_t r = 0; r < n; ++r) {
+      const double wr = w[r * stride];
+      const double* src = in + r * width + col;
+      for (size_t j = 0; j < kColBlock; ++j) acc[j] += src[j] * wr;
+    }
+    for (size_t j = 0; j < kColBlock; ++j) out[col + j] = acc[j];
+  }
+  for (; col < width; ++col) {
+    double acc = 0.0;
+    for (size_t r = 0; r < n; ++r) acc += in[r * width + col] * w[r * stride];
+    out[col] = acc;
+  }
+}
+
 /// z = W_x x + W_h h_prev + b over one tile, gate blocks [i f g o], then
-/// the element-wise gate update of h/c. One parameter vector serves the
-/// whole tile, so every weight row is a GEMM row against the tile's
-/// columns. Per column the accumulation chain is exactly
-/// LstmCell::Forward's: b[r], then W_x row r in ascending k, then W_h row
-/// r in ascending k.
+/// the element-wise gate update of the recurrent state h/c ([hidden] x
+/// width, updated in place). One parameter vector serves the whole tile,
+/// so every weight row is a GEMM row against the tile's columns. Per
+/// column the accumulation chain is exactly LstmCell::Forward's: b[r],
+/// then W_x row r in ascending k, then W_h row r in ascending k.
+///
+/// A training forward (kTrain) also keeps what its backward reads: z ends
+/// holding the post-activation gates [i f g o] and `tanh_c` receives
+/// tanh(c). The forecast's instantiation is the loop without those stores.
+template <bool kTrain>
 void CellStep(const LstmCell& cell, const double* params, const double* x,
-              size_t width, TileState& s) {
+              size_t width, double* z, double* h, double* c,
+              double* tanh_c) {
   const size_t id = static_cast<size_t>(cell.input_dim());
   const size_t hd = static_cast<size_t>(cell.hidden_dim());
   const size_t h4 = 4 * hd;
   const double* wx = params + cell.offset();
   const double* wh = wx + h4 * id;
   const double* b = wh + h4 * hd;
-  double* z = s.z.data();
-  double* h = s.h.data();
-  double* c = s.c.data();
   for (size_t r = 0; r < h4; ++r) {
     RowTimesTile(b[r], wx + r * id, x, id, wh + r * hd, h, hd, width,
                  z + r * width);
@@ -93,14 +124,106 @@ void CellStep(const LstmCell& cell, const double* params, const double* x,
       const double ov = Sigmoid(z[(3 * hd + k) * width + col]);
       const double cv = fv * c[k * width + col] + iv * gv;
       c[k * width + col] = cv;
-      h[k * width + col] = ov * std::tanh(cv);
+      if constexpr (kTrain) {
+        const double tc = std::tanh(cv);
+        h[k * width + col] = ov * tc;
+        z[k * width + col] = iv;
+        z[(hd + k) * width + col] = fv;
+        z[(2 * hd + k) * width + col] = gv;
+        z[(3 * hd + k) * width + col] = ov;
+        tanh_c[k * width + col] = tc;
+      } else {
+        h[k * width + col] = ov * std::tanh(cv);
+      }
     }
   }
 }
 
+/// LstmCell::Backward's element-wise part over one tile: from dh and dc
+/// (the gradients w.r.t. the step's outputs) and the step's kept gates,
+/// tanh(c) and c_prev, writes dz over the gates (blocks [i f g o]) and
+/// replaces dc with the gradient w.r.t. c_prev. The expressions are the
+/// scalar ones, term for term.
+void GateBackward(size_t hd, size_t width, const double* dh, double* dc,
+                  double* gates, const double* tanh_c, const double* c_prev) {
+  const size_t block = hd * width;
+  for (size_t e = 0; e < block; ++e) {
+    const double i = gates[e], f = gates[block + e];
+    const double g = gates[2 * block + e], o = gates[3 * block + e];
+    const double tc = tanh_c[e];
+    const double d_o = dh[e] * tc;
+    const double d_c = dc[e] + dh[e] * o * (1.0 - tc * tc);
+    const double d_i = d_c * g;
+    const double d_f = d_c * c_prev[e];
+    const double d_g = d_c * i;
+    gates[e] = d_i * i * (1.0 - i);
+    gates[block + e] = d_f * f * (1.0 - f);
+    gates[2 * block + e] = d_g * (1.0 - g * g);
+    gates[3 * block + e] = d_o * o * (1.0 - o);
+    dc[e] = d_c * f;
+  }
+}
+
+/// kWeights consecutive weights of one gate row: for each weight k,
+/// g[k] += (0.0 + a_T[j] * b_T[k][j] + ... + a_0[j] * b_0[k][j]) * inv
+/// for every column (= sample) j in order, where a_t = a + t * a_step is
+/// the row's dz (or dy) at step t and b_t = b + t * b_step the layer input
+/// [.][width] at that step; a null `b` is an input of ones (the bias).
+/// Each sum runs over the steps last first, as the scalar backward adds
+/// its terms, and is complete before it joins g. Columns go in blocks of
+/// kColBlock whose sums share registers, then one by one, like
+/// RowTimesTile; the kWeights serial additions into g overlap.
+template <size_t kWeights>
+void StepSums(const double* a, size_t a_step, const double* b, size_t b_step,
+              size_t steps, size_t width, double inv, double* g) {
+  double sum[kWeights];
+  for (size_t p = 0; p < kWeights; ++p) sum[p] = g[p];
+  size_t j = 0;
+  for (; j + kColBlock <= width; j += kColBlock) {
+    double acc[kWeights][kColBlock] = {};
+    for (size_t t = steps; t-- > 0;) {
+      const double* at = a + t * a_step + j;
+      for (size_t p = 0; p < kWeights; ++p) {
+        if (b == nullptr) {
+          for (size_t c = 0; c < kColBlock; ++c) acc[p][c] += at[c];
+        } else {
+          const double* bt = b + t * b_step + p * width + j;
+          for (size_t c = 0; c < kColBlock; ++c) acc[p][c] += at[c] * bt[c];
+        }
+      }
+    }
+    for (size_t c = 0; c < kColBlock; ++c) {
+      for (size_t p = 0; p < kWeights; ++p) sum[p] += acc[p][c] * inv;
+    }
+  }
+  for (; j < width; ++j) {
+    double acc[kWeights] = {};
+    for (size_t t = steps; t-- > 0;) {
+      const double at = a[t * a_step + j];
+      for (size_t p = 0; p < kWeights; ++p) {
+        acc[p] += b == nullptr ? at : at * b[t * b_step + p * width + j];
+      }
+    }
+    for (size_t p = 0; p < kWeights; ++p) sum[p] += acc[p] * inv;
+  }
+  for (size_t p = 0; p < kWeights; ++p) g[p] = sum[p];
+}
+
+/// StepSums over a gate row's m weights (b's first m rows), two at a time.
+void RowSums(const double* a, size_t a_step, const double* b, size_t b_step,
+             size_t m, size_t steps, size_t width, double inv, double* g) {
+  size_t k = 0;
+  for (; k + 2 <= m; k += 2) {
+    StepSums<2>(a, a_step, b + k * width, b_step, steps, width, inv, g + k);
+  }
+  if (k < m) {
+    StepSums<1>(a, a_step, b + k * width, b_step, steps, width, inv, g + k);
+  }
+}
+
 /// Readout y = W h + b over one tile into `dst` [output_dim][width].
-void ReadoutStep(const Linear& readout, const double* params,
-                 const double* h, size_t width, double* dst) {
+inline void ReadoutStep(const Linear& readout, const double* params,
+                        const double* h, size_t width, double* dst) {
   const size_t in = static_cast<size_t>(readout.in_dim());
   const size_t out = static_cast<size_t>(readout.out_dim());
   const double* w = params + readout.offset();
@@ -210,8 +333,9 @@ void BatchedSeq2Seq::RunTile(const BatchedSeq2SeqScratch::Tile& tile,
     std::fill(s.h.begin(), s.h.end(), 0.0);
     std::fill(s.c.begin(), s.c.end(), 0.0);
     for (size_t t = 0; t < in_steps; ++t) {
-      CellStep(encoder_, params,
-               window + ((head + t) % in_steps) * id * width, width, s);
+      CellStep<false>(encoder_, params,
+                      window + ((head + t) % in_steps) * id * width, width,
+                      s.z.data(), s.h.data(), s.c.data(), nullptr);
     }
 
     // Decoder: the first input is the last observed step resized to
@@ -230,7 +354,8 @@ void BatchedSeq2Seq::RunTile(const BatchedSeq2SeqScratch::Tile& tile,
     for (size_t t = 0; t < seq_out; ++t) {
       const double* x =
           t == 0 ? s.x.data() : s.pred.data() + (t - 1) * od * width;
-      CellStep(decoder_, params, x, width, s);
+      CellStep<false>(decoder_, params, x, width, s.z.data(), s.h.data(),
+                      s.c.data(), nullptr);
       ReadoutStep(readout_, params, s.h.data(), width,
                   s.pred.data() + t * od * width);
     }
@@ -356,6 +481,185 @@ void BatchedSeq2Seq::PredictBatch(
         seq[t][k] = scratch.pack_out[(t * od + k) * rows + r];
       }
     }
+  }
+}
+
+void BatchedSeq2Seq::TrainTile(const std::vector<double>& params,
+                               std::span<const TrainSample> samples,
+                               double inv, double& loss_sum,
+                               std::vector<double>& grad,
+                               TrainScratch& scratch) const {
+  const size_t width = samples.size();
+  TAMP_CHECK(width >= 1 && width <= kTrainTileCols);
+  TAMP_CHECK(params.size() == param_count_);
+  TAMP_CHECK(grad.size() == param_count_);
+  const size_t id = static_cast<size_t>(config_.input_dim);
+  const size_t hd = static_cast<size_t>(config_.hidden_dim);
+  const size_t od = static_cast<size_t>(config_.output_dim);
+  const size_t h4 = 4 * hd;
+  const size_t dec_steps = static_cast<size_t>(config_.seq_out);
+  TAMP_CHECK(samples[0].input != nullptr && !samples[0].input->empty());
+  const size_t enc_steps = samples[0].input->size();
+  const size_t steps = enc_steps + dec_steps;
+  // The scalar chain's checks, sample by sample.
+  for (const TrainSample& sample : samples) {
+    TAMP_CHECK(sample.input != nullptr && sample.target != nullptr);
+    TAMP_CHECK_MSG(sample.input->size() == enc_steps,
+                   "a training tile's samples must share one input length");
+    for (const std::vector<double>& step : *sample.input) {
+      TAMP_CHECK(step.size() == id);
+    }
+    TAMP_CHECK(sample.target->size() == dec_steps);
+    for (const std::vector<double>& step : *sample.target) {
+      TAMP_CHECK(step.size() == od);
+    }
+    TAMP_CHECK(sample.weights == nullptr || sample.weights->empty() ||
+               sample.weights->size() == dec_steps);
+  }
+
+  // Step t's input block: input_dim rows at an encoder step, output_dim at
+  // a decoder step.
+  auto in_offset = [&](size_t t) {
+    return (t < enc_steps ? t * id
+                          : enc_steps * id + (t - enc_steps) * od) *
+           width;
+  };
+  scratch.x.resize(in_offset(steps));
+  scratch.h.resize((steps + 1) * hd * width);
+  scratch.c.resize((steps + 1) * hd * width);
+  scratch.gates.resize(steps * h4 * width);
+  scratch.tanh_c.resize(steps * hd * width);
+  scratch.out.resize(dec_steps * od * width);
+  scratch.dh.resize(hd * width);
+  scratch.dc.resize(hd * width);
+
+  // Gather the step inputs. The decoder's first input is the last observed
+  // step resized to output_dim (truncated or zero-padded, like
+  // EncoderDecoder::RunForward); later ones are the previous target steps
+  // (teacher forcing).
+  for (size_t t = 0; t < steps; ++t) {
+    const size_t n = t < enc_steps ? id : od;
+    double* x = scratch.x.data() + in_offset(t);
+    for (size_t j = 0; j < width; ++j) {
+      const std::vector<double>& src =
+          t < enc_steps    ? (*samples[j].input)[t]
+          : t == enc_steps ? samples[j].input->back()
+                           : (*samples[j].target)[t - enc_steps - 1];
+      for (size_t k = 0; k < n; ++k) {
+        x[k * width + j] = k < src.size() ? src[k] : 0.0;
+      }
+    }
+  }
+
+  // Forward. Each step runs in place on a copy of the state entering it,
+  // so h and c keep every step's h_prev and c_prev.
+  const double* p = params.data();
+  const size_t state = hd * width;
+  double* out = scratch.out.data();
+  std::fill_n(scratch.h.data(), state, 0.0);
+  std::fill_n(scratch.c.data(), state, 0.0);
+  for (size_t t = 0; t < steps; ++t) {
+    const bool decoder = t >= enc_steps;
+    double* h = scratch.h.data() + (t + 1) * state;
+    double* c = scratch.c.data() + (t + 1) * state;
+    std::copy(h - state, h, h);
+    std::copy(c - state, c, c);
+    CellStep<true>(decoder ? decoder_ : encoder_, p,
+                   scratch.x.data() + in_offset(t), width,
+                   scratch.gates.data() + t * h4 * width, h, c,
+                   scratch.tanh_c.data() + t * state);
+    if (decoder) {
+      ReadoutStep(readout_, p, h, width, out + (t - enc_steps) * od * width);
+    }
+  }
+
+  // Loss and dLoss/dprediction per sample, in sample order: the terms of
+  // WeightedMseLoss::Value and ::Gradient.
+  const double terms = static_cast<double>(dec_steps * od);
+  const double scale = 2.0 / terms;
+  for (size_t j = 0; j < width; ++j) {
+    const std::vector<double>* weights = samples[j].weights;
+    const bool uniform = weights == nullptr || weights->empty();
+    const Sequence& target = *samples[j].target;
+    double acc = 0.0;
+    for (size_t t = 0; t < dec_steps; ++t) {
+      const double w = uniform ? 1.0 : (*weights)[t];
+      for (size_t d = 0; d < od; ++d) {
+        const double diff = out[(t * od + d) * width + j] - target[t][d];
+        acc += w * diff * diff;
+      }
+    }
+    loss_sum += TAMP_CHECK_FINITE(acc / terms);
+    for (size_t t = 0; t < dec_steps; ++t) {
+      const double w = uniform ? 1.0 : (*weights)[t];
+      for (size_t d = 0; d < od; ++d) {
+        double& y = out[(t * od + d) * width + j];
+        y = TAMP_CHECK_FINITE(scale * w * (y - target[t][d]));
+      }
+    }
+  }
+
+  // Backward through the steps, last first. Teacher forcing makes the
+  // decoder inputs constants, so only the recurrent state carries credit:
+  // at a decoder step dh first gains the readout's input gradient (summed
+  // from 0.0), then every step forms dz over its gates and, unless it is
+  // the first step, dh_prev = W_h^T dz.
+  double* dh = scratch.dh.data();
+  double* dc = scratch.dc.data();
+  std::fill_n(dh, state, 0.0);
+  std::fill_n(dc, state, 0.0);
+  const double* w_out = p + readout_.offset();
+  for (size_t t = steps; t-- > 0;) {
+    const bool decoder = t >= enc_steps;
+    double* dz = scratch.gates.data() + t * h4 * width;
+    if (decoder) {
+      const double* dy = out + (t - enc_steps) * od * width;
+      double row[kTrainTileCols];
+      for (size_t k = 0; k < hd; ++k) {
+        ColumnTimesTile(w_out + k, hd, dy, od, width, row);
+        for (size_t j = 0; j < width; ++j) dh[k * width + j] += row[j];
+      }
+    }
+    GateBackward(hd, width, dh, dc, dz, scratch.tanh_c.data() + t * state,
+                 scratch.c.data() + t * state);
+    if (t == 0) break;
+    const LstmCell& cell = decoder ? decoder_ : encoder_;
+    const double* wh = p + cell.offset() +
+                       h4 * static_cast<size_t>(cell.input_dim());
+    for (size_t k = 0; k < hd; ++k) {
+      ColumnTimesTile(wh + k, hd, dz, h4, width, dh + k * width);
+    }
+  }
+
+  // Parameter gradients: for each weight, each sample's sum over its
+  // layer's steps, added * inv in sample order (StepSums).
+  auto cell_gradients = [&](const LstmCell& cell, size_t t0, size_t t1) {
+    const size_t n = static_cast<size_t>(cell.input_dim());
+    double* gwx = grad.data() + cell.offset();
+    double* gwh = gwx + h4 * n;
+    double* gb = gwh + h4 * hd;
+    const double* x = scratch.x.data() + in_offset(t0);
+    const double* h_prev = scratch.h.data() + t0 * state;
+    for (size_t r = 0; r < h4; ++r) {
+      const double* dz = scratch.gates.data() + (t0 * h4 + r) * width;
+      const size_t dz_step = h4 * width;
+      RowSums(dz, dz_step, x, n * width, n, t1 - t0, width, inv, gwx + r * n);
+      RowSums(dz, dz_step, h_prev, state, hd, t1 - t0, width, inv,
+              gwh + r * hd);
+      StepSums<1>(dz, dz_step, nullptr, 0, t1 - t0, width, inv, gb + r);
+    }
+  };
+  cell_gradients(encoder_, 0, enc_steps);
+  cell_gradients(decoder_, enc_steps, steps);
+  // The readout's input at decoder step t is the h that step produced.
+  double* gw = grad.data() + readout_.offset();
+  double* gb = gw + od * hd;
+  const double* h_out = scratch.h.data() + (enc_steps + 1) * state;
+  for (size_t r = 0; r < od; ++r) {
+    const double* dy = out + r * width;
+    RowSums(dy, od * width, h_out, state, hd, dec_steps, width, inv,
+            gw + r * hd);
+    StepSums<1>(dy, od * width, nullptr, 0, dec_steps, width, inv, gb + r);
   }
 }
 

@@ -1,12 +1,44 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "nn/encoder_decoder.h"
 
 namespace tamp::nn {
+
+/// One training sample as BatchedSeq2Seq::TrainTile reads it: the input
+/// window, the seq_out target steps, and the per-step loss weights of
+/// Eq. 6 (null or empty: uniform, i.e. plain MSE).
+struct TrainSample {
+  const Sequence* input = nullptr;
+  const Sequence* target = nullptr;
+  const std::vector<double>* weights = nullptr;
+};
+
+/// Grow-only buffers of BatchedSeq2Seq::TrainTile, one per thread
+/// (DESIGN.md §4i gives the bytes). Every call overwrites what it reads,
+/// so contents never reach a result and a scratch that shrinks and then
+/// grows is bit-safe. Every block is feature-major with the tile width w
+/// as stride; a per-step block holds step t's slot at t times one step's
+/// size.
+struct TrainScratch {
+  std::vector<double> x;  // Step inputs: [input_dim][w] per encoder step,
+                          // then [output_dim][w] per decoder step (the
+                          // teacher-forced inputs).
+  std::vector<double> h;  // Hidden state entering each step, then the
+                          // last: [steps + 1][hidden][w].
+  std::vector<double> c;  // Cell state, the same layout.
+  std::vector<double> gates;   // [steps][4 hidden][w]: post-activation gates
+                               // i f g o, replaced by dz in the backward.
+  std::vector<double> tanh_c;  // [steps][hidden][w].
+  std::vector<double> out;  // Predictions [seq_out][output_dim][w],
+                            // replaced by dLoss/dprediction.
+  std::vector<double> dh;   // [hidden][w].
+  std::vector<double> dc;   // [hidden][w].
+};
 
 /// Reusable state for BatchedSeq2Seq (DESIGN.md §4i). Grow-only: holding
 /// one scratch across batches (the simulator keeps one for the whole run)
@@ -56,7 +88,8 @@ struct BatchedSeq2SeqScratch {
 /// rollout on tile-private state whose stride is the tile width, so no two
 /// threads write neighbouring columns of a shared array. The tile plan is a
 /// pure function of the row->params map, so the nn.* work counters are
-/// thread-invariant.
+/// thread-invariant. TrainTile runs the teacher-forced training pass on the
+/// same kernels (DESIGN.md §4i, "Training on the engine").
 ///
 /// Bit-identity contract: for every output element the floating-point
 /// operation chain is exactly the scalar path's — acc starts at b[r],
@@ -118,6 +151,32 @@ class BatchedSeq2Seq {
                     const std::vector<const Sequence*>& inputs,
                     std::vector<Sequence>* outputs,
                     BatchedSeq2SeqScratch& scratch) const;
+
+  /// Widest training tile. A tile's scratch grows with its width; at the
+  /// e2e shape (hidden 16, six cell steps) 16 columns take ~97 KB per
+  /// thread, 64 would take ~387 KB.
+  static constexpr size_t kTrainTileCols = 16;
+
+  /// Teacher-forced training pass (EncoderDecoder::LossAndGradient's) over
+  /// one tile: 1 to kTrainTileCols samples that share `params` and one
+  /// input length, run on the calling thread. In sample order, adds each
+  /// sample's weighted-MSE loss (Eq. 6) to `loss_sum` and each of its
+  /// parameter gradients times `inv` to `grad`. Touches no nn.* counter:
+  /// those count the forecast's work.
+  ///
+  /// Bit-identity contract with the scalar chain: the forward runs the
+  /// forecast's CellStep/RowTimesTile kernels (per column exactly
+  /// LstmCell::Forward's chain); the backward forms dz with
+  /// LstmCell::Backward's expressions and dh_prev = W_h^T dz from 0.0 with
+  /// the gate row r ascending; and each sample's parameter-gradient sum
+  /// starts at 0.0 and runs over its layer's steps in descending order
+  /// before it is added * inv. So `loss_sum` and `grad` end bitwise equal
+  /// to adding EncoderDecoder::LossAndGradient's loss and (zero-started)
+  /// gradient * inv sample by sample, whatever the tile boundaries.
+  void TrainTile(const std::vector<double>& params,
+                 std::span<const TrainSample> samples, double inv,
+                 double& loss_sum, std::vector<double>& grad,
+                 TrainScratch& scratch) const;
 
  private:
   void PlanBatch(const std::vector<const std::vector<double>*>& row_params,

@@ -65,7 +65,10 @@ class EncoderDecoder {
   /// Teacher-forced training pass on one (input, target) sample: runs the
   /// forward pass, computes the weighted MSE (Eq. 6; empty `step_weights`
   /// means plain MSE), and *accumulates* dLoss/dparams into `grad` (which
-  /// must be param_count() long). Returns the loss value.
+  /// must be param_count() long). Returns the loss value. Training runs
+  /// BatchedSeq2Seq::TrainTile, which is bitwise equal to this chain
+  /// sample by sample; this scalar chain is its oracle (tests and
+  /// bench_micro_nn).
   double LossAndGradient(const std::vector<double>& params,
                          const Sequence& input_seq, const Sequence& target_seq,
                          const std::vector<double>& step_weights,

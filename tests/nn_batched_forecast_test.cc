@@ -223,8 +223,8 @@ TEST(BatchedSeq2SeqTest, TrainerEvaluateMatchesScalarOracle) {
     models.worker_params.push_back(model.InitParams(rng));
     meta::LearningTask task;
     task.worker_id = w;
-    // Worker 3's eval windows have mixed lengths: the batched path must
-    // fall back to the scalar chain for that worker and still agree.
+    // Worker 3's eval windows have mixed lengths: each run of equal
+    // lengths is its own batch, and the worker must still agree.
     for (int i = 0; i < 4; ++i) {
       meta::TrainingSample sample;
       int steps = (w == 3 && i % 2 == 1) ? 3 : 4;

@@ -3,7 +3,7 @@
 
     python3 tools/ab_e2e.py --parent HEAD~1 [--change REV] [--pairs 10]
         [--workloads porto,fleet_100k] [--seed 1] [--work-dir DIR]
-        [--json-out FILE]
+        [--json-out FILE] [--trace]
     python3 tools/ab_e2e.py --self-test
 
 Each side's sources are exported into their own directory under --work-dir
@@ -25,6 +25,13 @@ worse than the parent's by more than the bound. Exit status: 1 if any
 metric is WORSE, if completion_ratio or cost_km differ bitwise between any
 two runs, or if any run failed an op or reported incorrect output; 2 on a
 usage or build error; 0 otherwise.
+
+With --trace the pairs are traced runs (run.py --trace 1), and the table
+covers BENCHMARK.json's per-layer metrics instead: both medians, the
+parent's IQR and the pairs the change won, by each metric's `better`
+direction (column p/c: the parent's median over the change's). Per-layer
+metrics have no bound, so there is no verdict; the exit status is 1 only
+if a run failed an op or reported incorrect output.
 """
 
 import argparse
@@ -125,6 +132,38 @@ def summarize(runs, end_to_end):
     return rows, problems
 
 
+def summarize_layers(runs, per_layer):
+    """Rows and problems for one workload's traced [(parent, change)]."""
+    problems = [f"pair {i} {side}: correct={result['correct']} "
+                f"failed={result['failed']}"
+                for i, pair in enumerate(runs)
+                for side, result in zip(("parent", "change"), pair)
+                if not result["correct"] or result["failed"] != 0]
+    rows = []
+    for m in per_layer:
+        parent = [p["metrics"][m["name"]]["value"] for p, _ in runs]
+        change = [c["metrics"][m["name"]]["value"] for _, c in runs]
+        rows.append({"metric": m["name"], "unit": m["unit"],
+                     "parent_median": median(parent),
+                     "change_median": median(change),
+                     "parent_iqr": iqr(parent),
+                     "won": pairs_won(zip(parent, change), m["better"]),
+                     "pairs": len(runs)})
+    return rows, problems
+
+
+def print_layer_rows(workload, rows):
+    print(f"\n{workload} (traced)")
+    print(f"{'metric':<36}{'unit':<9}{'parent':>12}{'change':>12}"
+          f"{'p/c':>8}{'parent IQR':>12}{'won':>7}")
+    for r in rows:
+        p, c = r["parent_median"], r["change_median"]
+        ratio = f"{p / c:.3f}" if c else "n/a"
+        print(f"{r['metric']:<36}{r['unit']:<9}{p:>12.6g}{c:>12.6g}"
+              f"{ratio:>8}{r['parent_iqr']:>12.4g}"
+              f"{str(r['won']) + '/' + str(r['pairs']):>7}")
+
+
 def print_rows(workload, rows):
     print(f"\n{workload}")
     print(f"{'metric':<18}{'unit':<9}{'parent':>12}{'change':>12}"
@@ -178,10 +217,11 @@ def build(source, build_dir):
             fail("build step failed: " + " ".join(step))
 
 
-def run_once(source, build_dir, workload, seed, seconds):
+def run_once(source, build_dir, workload, seed, seconds, trace):
     cmd = [sys.executable, os.path.join(source, "bench", "e2e", "run.py"),
            f"--workload={workload}", f"--seed={seed}",
-           f"--seconds={seconds}", "--trace=0", f"--build-dir={build_dir}"]
+           f"--seconds={seconds}", f"--trace={int(trace)}",
+           f"--build-dir={build_dir}"]
     result = subprocess.run(cmd, capture_output=True, text=True)
     lines = result.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -218,6 +258,37 @@ def self_test():
         return {"correct": failed == 0, "attempted": 10, "failed": failed,
                 "metrics": {k: {"value": v} for k, v in metrics.items()}}
 
+    layers = [{"name": "meta.taml_s", "unit": "s/setup", "better": "lower"},
+              {"name": "nn.forecast_cells", "unit": "count",
+               "better": "lower"},
+              {"name": "assign.prune_ratio", "unit": "ratio",
+               "better": "higher"}]
+
+    def traced(taml, cells, prune, failed=0):
+        metrics = {"meta.taml_s": taml, "nn.forecast_cells": cells,
+                   "assign.prune_ratio": prune}
+        return {"correct": failed == 0, "attempted": 10, "failed": failed,
+                "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+    rows, problems = summarize_layers(
+        [(traced(2.0, 100.0, 0.5), traced(1.0, 100.0, 0.6)),
+         (traced(2.4, 100.0, 0.5), traced(1.2, 100.0, 0.4)),
+         (traced(2.2, 100.0, 0.5), traced(2.3, 100.0, 0.7))], layers)
+    got = {r["metric"]: (r["parent_median"], r["change_median"], r["won"],
+                         r["pairs"]) for r in rows}
+    want = {"meta.taml_s": (2.2, 1.2, 2, 3),
+            "nn.forecast_cells": (100.0, 100.0, 0, 3),
+            "assign.prune_ratio": (0.5, 0.6, 2, 3)}
+    if problems or got != want or abs(rows[0]["parent_iqr"] - 0.2) > 1e-12:
+        errors.append(f"layer summary: {rows} {problems}")
+    if any("verdict" in r for r in rows):
+        errors.append(f"layer summary gives a verdict: {rows}")
+    _, problems = summarize_layers(
+        [(traced(2.0, 100.0, 0.5), traced(1.0, 100.0, 0.6, failed=2))],
+        layers)
+    if len(problems) != 1:
+        errors.append(f"failed traced run not caught: {problems}")
+
     e2e = [{"name": "tasks_per_s", "unit": "tasks/s", "better": "higher",
             "bound": 0.24}]
     rows, problems = summarize(
@@ -230,12 +301,16 @@ def self_test():
     if len(problems) != 2:
         errors.append(f"bitwise + failed run not both caught: {problems}")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        declared = {m["name"] for m in json.load(f)["end_to_end"]}
+        bench = json.load(f)
+    declared = {m["name"] for m in bench["end_to_end"]}
     if not set(BITWISE) <= declared:
         errors.append(f"BENCHMARK.json lacks {set(BITWISE) - declared}")
+    if any(m.get("better") not in ("higher", "lower")
+           for m in bench["per_layer"]):
+        errors.append("a BENCHMARK.json per-layer metric has no `better`")
     for e in errors:
         print("self-test: " + e, file=sys.stderr)
-    print(f"ab_e2e self-test: {len(checks) + 3 - len(errors)} passed, "
+    print(f"ab_e2e self-test: {len(checks) + 7 - len(errors)} passed, "
           f"{len(errors)} failed")
     return 1 if errors else 0
 
@@ -251,6 +326,8 @@ def main():
     parser.add_argument("--work-dir", help="where the exported sources and "
                         "builds go (default: a fresh temporary directory)")
     parser.add_argument("--json-out", help="also write every run's result")
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs; summarize the per-layer metrics")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
@@ -291,11 +368,16 @@ def main():
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                             "parent")
-            got = {side: run_once(*sides[side], workload, args.seed, seconds)
+            got = {side: run_once(*sides[side], workload, args.seed, seconds,
+                                  args.trace)
                    for side in order}
             runs.append((got["parent"], got["change"]))
-        rows, problems = summarize(runs, bench["end_to_end"])
-        print_rows(workload, rows)
+        if args.trace:
+            rows, problems = summarize_layers(runs, bench["per_layer"])
+            print_layer_rows(workload, rows)
+        else:
+            rows, problems = summarize(runs, bench["end_to_end"])
+            print_rows(workload, rows)
         for p in problems:
             print(f"  FAIL {workload}: {p}")
         status = status or (1 if problems else 0)
