@@ -1,12 +1,10 @@
-// Micro-benchmarks of the LSTM encoder-decoder: forward inference (what
-// every online batch pays per worker), the scalar training step and the
-// batched training pass (what meta-training pays per sample), and the
-// fleet-wide forecast rollout — the per-worker scalar chain against the
-// batched SoA engine (nn::BatchedSeq2Seq), with distinct per-worker
-// parameters (one 1-column tile per worker, fanned out over the pool) and
-// a shared parameter vector (64-column GEMM tiles).
-// RegisterMicroMetrics records the deterministic nn.* work counts that
-// tools/bench_compare gates on.
+// Micro-benchmarks of the LSTM encoder-decoder (nn::EncoderDecoder):
+// one window's forecast by input length, the batched training pass (what
+// meta-training pays per sample), and the fleet-wide forecast rollout
+// (core::RolloutPredict) with distinct per-worker parameters (one 1-column
+// tile per worker, fanned out over the pool) and a shared parameter vector
+// (64-column GEMM tiles). RegisterMicroMetrics records the deterministic
+// nn.* work counts that tools/bench_compare gates on.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -18,7 +16,6 @@
 #include "geo/grid.h"
 #include "meta/learning_task.h"
 #include "meta/meta_training.h"
-#include "nn/batched_seq2seq.h"
 #include "nn/encoder_decoder.h"
 
 namespace {
@@ -92,29 +89,13 @@ const Fleet& GowallaFleet() {
   return *fleet;
 }
 
-/// The scalar reference: one RolloutPredict chain per worker (the
-/// simulator's per-worker fan-out body), with the reusable PredictScratch.
-size_t FleetRolloutScalar(const Fleet& fleet, size_t fleet_size) {
-  tamp::nn::EncoderDecoder model(fleet.config);
-  tamp::nn::PredictScratch scratch;
-  size_t points = 0;
-  for (size_t w = 0; w < fleet_size; ++w) {
-    points += tamp::core::RolloutPredict(model, fleet.worker_params[w],
-                                         fleet.recents[w], fleet.grid,
-                                         kHorizonSteps, kNowMin, kPeriodMin,
-                                         &scratch)
-                  .size();
-  }
-  return points;
-}
-
-/// The batched path: one fleet-wide SoA rollout. `shared` selects the
-/// cluster-predictor regime where every row aliases one parameter vector.
+/// One fleet-wide SoA rollout. `shared` selects the cluster-predictor
+/// regime where every row aliases one parameter vector.
 size_t FleetRolloutBatched(const Fleet& fleet, size_t fleet_size, bool shared,
                            tamp::core::FleetForecastScratch& scratch,
                            std::vector<std::vector<tamp::geo::TimedPoint>>&
                                out) {
-  tamp::nn::BatchedSeq2Seq engine(fleet.config);
+  tamp::nn::EncoderDecoder model(fleet.config);
   std::vector<const std::vector<double>*> row_params(fleet_size);
   std::vector<std::vector<tamp::geo::Point>> recents(
       fleet.recents.begin(),
@@ -122,53 +103,19 @@ size_t FleetRolloutBatched(const Fleet& fleet, size_t fleet_size, bool shared,
   for (size_t w = 0; w < fleet_size; ++w) {
     row_params[w] = shared ? &fleet.shared_params : &fleet.worker_params[w];
   }
-  tamp::core::RolloutPredictBatch(engine, row_params, recents, fleet.grid,
-                                  kHorizonSteps, kNowMin, kPeriodMin, scratch,
-                                  &out);
+  tamp::core::RolloutPredict(model, row_params, recents, fleet.grid,
+                             kHorizonSteps, kNowMin, kPeriodMin, scratch,
+                             &out);
   size_t points = 0;
   for (const auto& row : out) points += row.size();
   return points;
 }
 
-void BM_EncoderDecoderPredict(benchmark::State& state) {
-  tamp::nn::Seq2SeqConfig config;
-  config.input_dim = 3;
-  config.hidden_dim = static_cast<int>(state.range(0));
-  tamp::Rng rng(3);
-  tamp::nn::EncoderDecoder model(config);
-  auto params = model.InitParams(rng);
-  auto input = MakeInput(5, 3);
-  for (auto _ : state) {
-    auto pred = model.Predict(params, input);
-    benchmark::DoNotOptimize(pred[0][0]);
-  }
-}
-BENCHMARK(BM_EncoderDecoderPredict)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_EncoderDecoderTrainStep(benchmark::State& state) {
-  tamp::nn::Seq2SeqConfig config;
-  config.input_dim = 3;
-  config.hidden_dim = static_cast<int>(state.range(0));
-  tamp::Rng rng(5);
-  tamp::nn::EncoderDecoder model(config);
-  auto params = model.InitParams(rng);
-  auto input = MakeInput(5, 3);
-  tamp::nn::Sequence target = {{0.5, 0.5}};
-  std::vector<double> grad(params.size(), 0.0);
-  for (auto _ : state) {
-    std::fill(grad.begin(), grad.end(), 0.0);
-    double loss = model.LossAndGradient(params, input, target, {}, grad);
-    benchmark::DoNotOptimize(loss);
-  }
-}
-BENCHMARK(BM_EncoderDecoderTrainStep)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
 /// The training pass TAML and fine-tuning pay per step
 /// (meta::BatchLossAndGradient: SoA tiles of at most kTrainTileCols
 /// samples on the calling thread) at the e2e shape (hidden 16, input 3,
 /// seq_in 5, seq_out 1, Eq. 7-style step weights) over Arg samples; 204 is
-/// a porto fine-tune set. Time / Arg is the per-sample cost to set beside
-/// BM_EncoderDecoderTrainStep/16.
+/// a porto fine-tune set. Time / Arg is the per-sample cost.
 void BM_BatchLossAndGradient(benchmark::State& state) {
   tamp::nn::Seq2SeqConfig config;
   config.input_dim = 3;
@@ -207,26 +154,26 @@ void BM_BatchLossAndGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchLossAndGradient)->Arg(1)->Arg(16)->Arg(204);
 
+/// One window's forecast (a one-row PredictBatch: a 1-column tile) by
+/// input length.
 void BM_PredictBySeqIn(benchmark::State& state) {
   tamp::nn::Seq2SeqConfig config;
   config.input_dim = 3;
   tamp::Rng rng(7);
   tamp::nn::EncoderDecoder model(config);
-  auto params = model.InitParams(rng);
-  auto input = MakeInput(static_cast<int>(state.range(0)), 3);
+  const std::vector<double> params = model.InitParams(rng);
+  const tamp::nn::Sequence input =
+      MakeInput(static_cast<int>(state.range(0)), 3);
+  const std::vector<const std::vector<double>*> row_params = {&params};
+  const std::vector<const tamp::nn::Sequence*> inputs = {&input};
+  tamp::nn::RolloutScratch scratch;  // Persists across iterations.
+  std::vector<tamp::nn::Sequence> pred;
   for (auto _ : state) {
-    auto pred = model.Predict(params, input);
-    benchmark::DoNotOptimize(pred[0][0]);
+    model.PredictBatch(row_params, inputs, &pred, scratch);
+    benchmark::DoNotOptimize(pred[0][0][0]);
   }
 }
 BENCHMARK(BM_PredictBySeqIn)->Arg(1)->Arg(5)->Arg(10)->Arg(20);
-
-void FleetScalarBench(benchmark::State& state, const Fleet& fleet) {
-  const size_t fleet_size = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(FleetRolloutScalar(fleet, fleet_size));
-  }
-}
 
 void FleetBatchedBench(benchmark::State& state, const Fleet& fleet,
                        bool shared) {
@@ -239,11 +186,6 @@ void FleetBatchedBench(benchmark::State& state, const Fleet& fleet,
   }
 }
 
-void BM_FleetRolloutScalarPorto(benchmark::State& state) {
-  FleetScalarBench(state, PortoFleet());
-}
-BENCHMARK(BM_FleetRolloutScalarPorto)->Arg(60)->Arg(240)->Arg(960);
-
 void BM_FleetRolloutBatchedPorto(benchmark::State& state) {
   FleetBatchedBench(state, PortoFleet(), /*shared=*/false);
 }
@@ -253,11 +195,6 @@ void BM_FleetRolloutBatchedSharedPorto(benchmark::State& state) {
   FleetBatchedBench(state, PortoFleet(), /*shared=*/true);
 }
 BENCHMARK(BM_FleetRolloutBatchedSharedPorto)->Arg(60)->Arg(240)->Arg(960);
-
-void BM_FleetRolloutScalarGowalla(benchmark::State& state) {
-  FleetScalarBench(state, GowallaFleet());
-}
-BENCHMARK(BM_FleetRolloutScalarGowalla)->Arg(60)->Arg(240)->Arg(960);
 
 void BM_FleetRolloutBatchedGowalla(benchmark::State& state) {
   FleetBatchedBench(state, GowallaFleet(), /*shared=*/false);
@@ -293,7 +230,7 @@ void RegisterMicroMetrics(JsonReport& report) {
   std::vector<std::vector<geo::TimedPoint>> out;
   for (const Dataset& ds : datasets) {
     for (size_t fleet_size : fleet_sizes) {
-      // The scalar path runs one LstmCell::Forward per (row, cell step):
+      // The scalar chain runs one LSTM step per (row, cell step):
       // ceil(horizon / seq_out) engine passes of (seq_in + seq_out) steps.
       // Each tile launches one gate kernel per cell step and one readout
       // kernel per decoder step per pass.
@@ -324,9 +261,9 @@ void RegisterMicroMetrics(JsonReport& report) {
       // parameter vector ceil(W / 64) tiles, strictly fewer kernel
       // launches than the scalar path's per-worker cell calls.
       const int64_t shared_tiles =
-          static_cast<int64_t>((fleet_size + nn::BatchedSeq2Seq::kTileCols -
+          static_cast<int64_t>((fleet_size + nn::EncoderDecoder::kTileCols -
                                 1) /
-                               nn::BatchedSeq2Seq::kTileCols);
+                               nn::EncoderDecoder::kTileCols);
       TAMP_CHECK(batched_cells == scalar_cell_calls);
       TAMP_CHECK(batched_gemm ==
                  static_cast<int64_t>(fleet_size) * tile_launches);

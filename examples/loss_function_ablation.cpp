@@ -76,13 +76,22 @@ int main(int argc, char** argv) {
   // Error split by whether the true location is task-dense (f_w above the
   // midpoint weight) or sparse.
   nn::EncoderDecoder model(ta.models.model_config);
+  nn::RolloutScratch scratch;
   auto split_rmse = [&](const core::OfflineResult& result) {
     double dense_se = 0.0, sparse_se = 0.0;
     int dense_n = 0, sparse_n = 0;
     for (size_t w = 0; w < workload.learning_tasks.size(); ++w) {
-      for (const auto& sample : workload.learning_tasks[w].eval) {
-        nn::Sequence pred =
-            model.Predict(result.models.worker_params[w], sample.input);
+      // One batch per worker: its eval windows share its parameters.
+      const auto& eval = workload.learning_tasks[w].eval;
+      std::vector<const std::vector<double>*> row_params(
+          eval.size(), &result.models.worker_params[w]);
+      std::vector<const nn::Sequence*> inputs;
+      for (const auto& sample : eval) inputs.push_back(&sample.input);
+      std::vector<nn::Sequence> preds;
+      model.PredictBatch(row_params, inputs, &preds, scratch);
+      for (size_t i = 0; i < eval.size(); ++i) {
+        const auto& sample = eval[i];
+        const nn::Sequence& pred = preds[i];
         for (size_t t = 0; t < pred.size(); ++t) {
           geo::Point pred_km =
               workload.grid.Denormalize({pred[t][0], pred[t][1]});

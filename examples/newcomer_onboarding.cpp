@@ -78,16 +78,24 @@ int main(int argc, char** argv) {
                  trainer_config.fine_tune_steps, trainer_config.fine_tune_lr,
                  trainer_config.meta);
 
-  // Evaluate both on the newcomer's held-out day.
+  // Evaluate both on the newcomer's held-out day, one batch of its eval
+  // windows each.
+  std::vector<const nn::Sequence*> inputs;
+  for (const auto& sample : newcomer.eval) inputs.push_back(&sample.input);
+  nn::RolloutScratch scratch;
   auto evaluate = [&](const std::vector<double>& params) {
+    std::vector<nn::Sequence> preds;
+    trainer.model().PredictBatch(
+        std::vector<const std::vector<double>*>(inputs.size(), &params),
+        inputs, &preds, scratch);
     double se = 0.0, matched = 0.0;
     int points = 0;
-    for (const auto& sample : newcomer.eval) {
-      nn::Sequence pred = trainer.model().Predict(params, sample.input);
+    for (size_t i = 0; i < newcomer.eval.size(); ++i) {
+      const nn::Sequence& pred = preds[i];
       for (size_t t = 0; t < pred.size(); ++t) {
         geo::Point pred_km =
             workload.grid.Denormalize({pred[t][0], pred[t][1]});
-        double d = geo::Distance(pred_km, sample.target_km[t]);
+        double d = geo::Distance(pred_km, newcomer.eval[i].target_km[t]);
         se += d * d;
         if (d <= 1.0) matched += 1.0;
         ++points;

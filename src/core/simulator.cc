@@ -70,7 +70,7 @@ BatchAssignStep::BatchAssignStep(const data::Workload& workload,
                                  const nn::EncoderDecoder& model,
                                  const SimulatorConfig& config,
                                  std::nullptr_t)
-    : workload_(workload), config_(config), batched_model_(model.config()) {
+    : workload_(workload), config_(config), model_(model) {
   // The observation window length matches the training seq_in: infer it
   // from the first learning task if available.
   if (!workload_.learning_tasks.empty() &&
@@ -159,12 +159,10 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
   if (predicts) {
     // The fleet-level forecast call: one batched rollout (one parallel
     // region) for every row, reusing the engine scratch across batches.
-    // core::RolloutPredict, the per-worker scalar chain, is its oracle in
-    // nn_batched_forecast_test.
-    RolloutPredictBatch(batched_model_, forecast_params_, forecast_recents_,
-                        workload_.grid, config_.prediction_horizon_steps, now,
-                        config_.sample_period_min, forecast_scratch_,
-                        &forecast_out_);
+    RolloutPredict(model_, forecast_params_, forecast_recents_,
+                   workload_.grid, config_.prediction_horizon_steps, now,
+                   config_.sample_period_min, forecast_scratch_,
+                   &forecast_out_);
     for (size_t a = 0; a < available.size(); ++a) {
       batch_workers[a].predicted = std::move(forecast_out_[a]);
     }

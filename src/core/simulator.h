@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "core/rollout.h"
 #include "data/workload.h"
-#include "nn/batched_seq2seq.h"
 #include "nn/encoder_decoder.h"
 
 namespace tamp::core {
@@ -113,6 +112,8 @@ struct WorkerPredictor {
 /// step.
 class BatchAssignStep {
  public:
+  /// Holds `workload`, `model` and `config` by reference: they must
+  /// outlive the step.
   BatchAssignStep(const data::Workload& workload,
                   const nn::EncoderDecoder& model,
                   const SimulatorConfig& config,
@@ -152,9 +153,9 @@ class BatchAssignStep {
   const SimulatorConfig& config_;
   /// Observation window length (matches the training seq_in).
   int observe_steps_ = 5;
-  /// Fleet-batched forecast engine + its cross-batch scratch (SoA windows,
-  /// tile plan, outputs).
-  nn::BatchedSeq2Seq batched_model_;
+  /// The forecast model and its cross-batch scratch (SoA windows, tile
+  /// plan, outputs).
+  const nn::EncoderDecoder& model_;
   FleetForecastScratch forecast_scratch_;
   std::vector<const std::vector<double>*> forecast_params_;
   std::vector<std::vector<geo::Point>> forecast_recents_;

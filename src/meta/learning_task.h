@@ -4,7 +4,7 @@
 
 #include "geo/point.h"
 #include "geo/poi.h"
-#include "nn/loss.h"
+#include "nn/encoder_decoder.h"
 
 namespace tamp::meta {
 

@@ -7,7 +7,6 @@
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
 #include "common/parallel.h"
-#include "nn/batched_seq2seq.h"
 #include "nn/optimizer.h"
 
 namespace tamp::meta {
@@ -49,11 +48,10 @@ double BatchLossAndGradient(const nn::EncoderDecoder& model,
   TAMP_CHECK(!samples.empty());
   TAMP_CHECK(grad.size() == params.size());
   TAMP_CHECK(weights.empty() || weights.size() == samples.size());
-  // The engine is a view of the model's layout (a few integers), and the
-  // scratch is grow-only per thread, so a call allocates nothing once warm.
-  const nn::BatchedSeq2Seq engine(model.config());
+  // The scratch is grow-only per thread, so a call allocates nothing once
+  // warm.
   thread_local nn::TrainScratch scratch;
-  std::array<nn::TrainSample, nn::BatchedSeq2Seq::kTrainTileCols> tile;
+  std::array<nn::TrainSample, nn::EncoderDecoder::kTrainTileCols> tile;
   const double inv = 1.0 / static_cast<double>(samples.size());
   double loss_sum = 0.0;
   // Tiles: each maximal run of equal-length samples, cut into pieces of
@@ -67,8 +65,8 @@ double BatchLossAndGradient(const nn::EncoderDecoder& model,
         tile[s - begin] = {&samples[s].input, &samples[s].target,
                            weights.empty() ? nullptr : &weights[s]};
       }
-      engine.TrainTile(params, {tile.data(), end - begin}, inv, loss_sum,
-                       grad, scratch);
+      model.TrainTile(params, {tile.data(), end - begin}, inv, loss_sum,
+                      grad, scratch);
       begin = end;
     }
   }

@@ -81,12 +81,12 @@ size_t EqualLengthRunEnd(const std::vector<TrainingSample>& samples,
 /// `grad` (which must be zeroed by the caller if desired).
 ///
 /// The samples run on the calling thread through the SoA training engine
-/// (nn::BatchedSeq2Seq::TrainTile) in tiles of consecutive equal-length
+/// (nn::EncoderDecoder::TrainTile) in tiles of consecutive equal-length
 /// samples, at most kTrainTileCols wide (each maximal run of one input
 /// length cut in order), on a grow-only per-thread scratch. The loss and
-/// gradient are bitwise equal to summing EncoderDecoder::LossAndGradient
-/// sample by sample (each sample's gradient from zero, added * 1/n in
-/// sample order; DESIGN.md §4i).
+/// gradient are bitwise equal to summing the scalar one-sample chain
+/// (tests/nn_oracle.h) sample by sample (each sample's gradient from zero,
+/// added * 1/n in sample order; DESIGN.md §4i).
 double BatchLossAndGradient(const nn::EncoderDecoder& model,
                             const std::vector<double>& params,
                             const std::vector<TrainingSample>& samples,

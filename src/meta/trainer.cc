@@ -18,7 +18,7 @@
 namespace tamp::meta {
 
 MobilityTrainer::MobilityTrainer(const TrainerConfig& config)
-    : config_(config), model_(config.model), batched_model_(config.model) {
+    : config_(config), model_(config.model) {
   TAMP_CHECK(!config.factors.empty());
 }
 
@@ -231,7 +231,7 @@ EvalResult MobilityTrainer::Evaluate(const TrainedModels& models,
     const std::vector<TrainingSample>& eval = tasks[w].eval;
     // Per-pool-thread reusable forward buffers: outputs never depend on
     // scratch contents, so the fan-out stays bit-deterministic.
-    thread_local nn::BatchedSeq2SeqScratch batch_scratch;
+    thread_local nn::RolloutScratch batch_scratch;
     thread_local std::vector<const std::vector<double>*> row_params;
     thread_local std::vector<const nn::Sequence*> batch_inputs;
     thread_local std::vector<nn::Sequence> batch_preds;
@@ -247,8 +247,8 @@ EvalResult MobilityTrainer::Evaluate(const TrainedModels& models,
       for (size_t i = begin; i < end; ++i) {
         batch_inputs[i - begin] = &eval[i].input;
       }
-      batched_model_.PredictBatch(row_params, batch_inputs, &batch_preds,
-                                  batch_scratch);
+      model_.PredictBatch(row_params, batch_inputs, &batch_preds,
+                          batch_scratch);
       for (size_t i = begin; i < end; ++i) {
         const TrainingSample& sample = eval[i];
         const nn::Sequence& pred = batch_preds[i - begin];

@@ -8,7 +8,6 @@
 #include "geo/grid.h"
 #include "meta/learning_task.h"
 #include "meta/meta_training.h"
-#include "nn/batched_seq2seq.h"
 #include "nn/encoder_decoder.h"
 #include "similarity/kernel.h"
 
@@ -101,11 +100,10 @@ class MobilityTrainer {
   /// `match_radius_km` is the matching-rate threshold a (Def. 7).
   ///
   /// Each worker's samples share one parameter vector, so every run of
-  /// equal-length eval windows (EqualLengthRunEnd) is one batch through the
-  /// SoA forecast engine (nn::BatchedSeq2Seq): every encoder/decoder step
-  /// is a true GEMM across the samples, bitwise equal to the per-sample
-  /// scalar Predict (nn_batched_forecast_test checks Evaluate against a
-  /// per-sample scalar oracle).
+  /// equal-length eval windows (EqualLengthRunEnd) is one
+  /// nn::EncoderDecoder::PredictBatch: every encoder/decoder step is a
+  /// true GEMM across the samples (nn_batched_forecast_test checks
+  /// Evaluate against a per-sample scalar oracle).
   EvalResult Evaluate(const TrainedModels& models,
                       const std::vector<LearningTask>& tasks,
                       const geo::GridSpec& grid,
@@ -130,8 +128,6 @@ class MobilityTrainer {
 
   TrainerConfig config_;
   nn::EncoderDecoder model_;
-  /// Shares model_'s parameter layout; used by the batched Evaluate path.
-  nn::BatchedSeq2Seq batched_model_;
 };
 
 }  // namespace tamp::meta

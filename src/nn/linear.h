@@ -7,10 +7,11 @@
 
 namespace tamp::nn {
 
-/// A fully-connected layer y = W x + b whose parameters live in a caller-
-/// provided flat vector at a fixed offset. The flat-parameter design lets
-/// the meta-learning code clone/update whole models with plain vector
-/// arithmetic (theta' = theta - beta * grad).
+/// The parameter layout of a fully-connected layer y = W x + b inside a
+/// caller-provided flat vector at a fixed offset. The flat-parameter
+/// design lets the meta-learning code clone/update whole models with plain
+/// vector arithmetic (theta' = theta - beta * grad). EncoderDecoder runs
+/// the layer (its readout); this class only places it.
 ///
 /// Layout at `offset`: W row-major [out_dim x in_dim], then b [out_dim].
 class Linear {
@@ -27,17 +28,6 @@ class Linear {
 
   /// Xavier-initializes this layer's slice of `params`.
   void InitParams(Rng& rng, std::vector<double>& params) const;
-
-  /// y = W x + b. `x` has in_dim entries; `y` is resized to out_dim.
-  void Forward(const std::vector<double>& params, const double* x,
-               std::vector<double>& y) const;
-
-  /// Accumulates parameter gradients into `grad` and (if dx != nullptr)
-  /// writes the input gradient. `dy` has out_dim entries; `x` is the input
-  /// from the forward pass.
-  void Backward(const std::vector<double>& params, const double* x,
-                const double* dy, std::vector<double>& grad,
-                double* dx) const;
 
  private:
   int in_dim_;

@@ -1,16 +1,9 @@
 #include "nn/lstm_cell.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "nn/init.h"
 
 namespace tamp::nn {
-namespace {
-
-double Sigmoid(double v) { return 1.0 / (1.0 + std::exp(-v)); }
-
-}  // namespace
 
 LstmCell::LstmCell(int input_dim, int hidden_dim, size_t offset)
     : input_dim_(input_dim), hidden_dim_(hidden_dim), offset_(offset) {
@@ -30,109 +23,6 @@ void LstmCell::InitParams(Rng& rng, std::vector<double>& params) const {
   Fill(b, h4, 0.0);
   // Forget-gate bias block (second of four) starts open.
   Fill(b + hd, hd, 1.0);
-}
-
-void LstmCell::Forward(const std::vector<double>& params, const double* x,
-                       std::vector<double>& h, std::vector<double>& c,
-                       LstmStepCache& cache) const {
-  const size_t id = static_cast<size_t>(input_dim_);
-  const size_t hd = static_cast<size_t>(hidden_dim_);
-  const size_t h4 = 4 * hd;
-  const double* wx = params.data() + offset_;
-  const double* wh = wx + h4 * id;
-  const double* b = wh + h4 * hd;
-
-  cache.x.assign(x, x + id);
-  cache.h_prev = h;
-  cache.c_prev = c;
-
-  // z = W_x x + W_h h_prev + b, gate blocks [i f g o]. The buffer lives in
-  // the cache so a reused cache makes the step allocation-free; every
-  // entry is overwritten below.
-  cache.z.resize(h4);
-  std::vector<double>& z = cache.z;
-  for (size_t r = 0; r < h4; ++r) {
-    double acc = b[r];
-    const double* wxr = wx + r * id;
-    for (size_t k = 0; k < id; ++k) acc += wxr[k] * x[k];
-    const double* whr = wh + r * hd;
-    for (size_t k = 0; k < hd; ++k) acc += whr[k] * cache.h_prev[k];
-    z[r] = acc;
-  }
-
-  cache.i.resize(hd);
-  cache.f.resize(hd);
-  cache.g.resize(hd);
-  cache.o.resize(hd);
-  cache.c.resize(hd);
-  cache.tanh_c.resize(hd);
-  for (size_t k = 0; k < hd; ++k) {
-    cache.i[k] = Sigmoid(z[k]);
-    cache.f[k] = Sigmoid(z[hd + k]);
-    cache.g[k] = std::tanh(z[2 * hd + k]);
-    cache.o[k] = Sigmoid(z[3 * hd + k]);
-    cache.c[k] = cache.f[k] * cache.c_prev[k] + cache.i[k] * cache.g[k];
-    cache.tanh_c[k] = std::tanh(cache.c[k]);
-  }
-  c = cache.c;
-  h.resize(hd);
-  for (size_t k = 0; k < hd; ++k) h[k] = cache.o[k] * cache.tanh_c[k];
-}
-
-void LstmCell::Backward(const std::vector<double>& params,
-                        const LstmStepCache& cache, std::vector<double>& dh,
-                        std::vector<double>& dc, std::vector<double>& grad,
-                        double* dx) const {
-  TAMP_CHECK(grad.size() == params.size());
-  const size_t id = static_cast<size_t>(input_dim_);
-  const size_t hd = static_cast<size_t>(hidden_dim_);
-  const size_t h4 = 4 * hd;
-  const double* wx = params.data() + offset_;
-  const double* wh = wx + h4 * id;
-  double* dwx = grad.data() + offset_;
-  double* dwh = dwx + h4 * id;
-  double* db = dwh + h4 * hd;
-
-  // Gate pre-activation gradients dz, blocks [i f g o].
-  std::vector<double> dz(h4);
-  std::vector<double> dc_prev(hd);
-  for (size_t k = 0; k < hd; ++k) {
-    double i = cache.i[k], f = cache.f[k], g = cache.g[k], o = cache.o[k];
-    double tc = cache.tanh_c[k];
-    double d_o = dh[k] * tc;
-    double d_c = dc[k] + dh[k] * o * (1.0 - tc * tc);
-    double d_i = d_c * g;
-    double d_f = d_c * cache.c_prev[k];
-    double d_g = d_c * i;
-    dz[k] = d_i * i * (1.0 - i);
-    dz[hd + k] = d_f * f * (1.0 - f);
-    dz[2 * hd + k] = d_g * (1.0 - g * g);
-    dz[3 * hd + k] = d_o * o * (1.0 - o);
-    dc_prev[k] = d_c * f;
-  }
-
-  std::vector<double> dh_prev(hd, 0.0);
-  if (dx != nullptr) {
-    for (size_t k = 0; k < id; ++k) dx[k] = 0.0;
-  }
-  for (size_t r = 0; r < h4; ++r) {
-    double gz = dz[r];
-    db[r] += gz;
-    const double* wxr = wx + r * id;
-    double* dwxr = dwx + r * id;
-    for (size_t k = 0; k < id; ++k) {
-      dwxr[k] += gz * cache.x[k];
-      if (dx != nullptr) dx[k] += gz * wxr[k];
-    }
-    const double* whr = wh + r * hd;
-    double* dwhr = dwh + r * hd;
-    for (size_t k = 0; k < hd; ++k) {
-      dwhr[k] += gz * cache.h_prev[k];
-      dh_prev[k] += gz * whr[k];
-    }
-  }
-  dh = std::move(dh_prev);
-  dc = std::move(dc_prev);
 }
 
 }  // namespace tamp::nn

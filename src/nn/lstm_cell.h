@@ -7,25 +7,10 @@
 
 namespace tamp::nn {
 
-/// Per-timestep activation cache written by LstmCell::Forward and consumed
-/// by LstmCell::Backward during backpropagation-through-time.
-struct LstmStepCache {
-  std::vector<double> x;       // Input at this step.
-  std::vector<double> h_prev;  // Hidden state entering the step.
-  std::vector<double> c_prev;  // Cell state entering the step.
-  std::vector<double> i;       // Input gate (post-sigmoid).
-  std::vector<double> f;       // Forget gate (post-sigmoid).
-  std::vector<double> g;       // Candidate (post-tanh).
-  std::vector<double> o;       // Output gate (post-sigmoid).
-  std::vector<double> c;       // New cell state.
-  std::vector<double> tanh_c;  // tanh(c), reused in backward.
-  std::vector<double> z;       // Pre-activation scratch (forward only;
-                               // never read by Backward).
-};
-
-/// A single LSTM cell with parameters stored in a caller-provided flat
+/// The parameter layout of one LSTM cell inside a caller-provided flat
 /// vector (see Linear for the rationale). Gate order in the packed weight
-/// blocks is [input, forget, candidate, output].
+/// blocks is [input, forget, candidate, output]. EncoderDecoder runs the
+/// cell; this class only places it.
 ///
 /// Layout at `offset`:
 ///   W_x  [4H x I]  row-major
@@ -46,21 +31,6 @@ class LstmCell {
 
   /// Xavier weights; forget-gate bias initialized to 1.
   void InitParams(Rng& rng, std::vector<double>& params) const;
-
-  /// One timestep. `x` has input_dim entries; h/c are the recurrent state
-  /// (hidden_dim each) and are updated in place. Fills `cache` for the
-  /// backward pass.
-  void Forward(const std::vector<double>& params, const double* x,
-               std::vector<double>& h, std::vector<double>& c,
-               LstmStepCache& cache) const;
-
-  /// Backward through one timestep. `dh`/`dc` carry the gradient w.r.t. the
-  /// step's outputs and are replaced with the gradient w.r.t. the incoming
-  /// h_prev/c_prev. Parameter gradients accumulate into `grad`; if
-  /// dx != nullptr the input gradient is written there.
-  void Backward(const std::vector<double>& params, const LstmStepCache& cache,
-                std::vector<double>& dh, std::vector<double>& dc,
-                std::vector<double>& grad, double* dx) const;
 
  private:
   int input_dim_;

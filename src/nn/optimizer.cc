@@ -6,15 +6,6 @@
 
 namespace tamp::nn {
 
-Sgd::Sgd(double learning_rate) : lr_(learning_rate) {
-  TAMP_CHECK(learning_rate > 0.0);
-}
-
-void Sgd::Step(std::vector<double>& params, const std::vector<double>& grad) {
-  TAMP_CHECK(params.size() == grad.size());
-  for (size_t i = 0; i < params.size(); ++i) params[i] -= lr_ * grad[i];
-}
-
 Adam::Adam(size_t param_count, double learning_rate, double beta1,
            double beta2, double epsilon)
     : lr_(learning_rate),
@@ -39,12 +30,6 @@ void Adam::Step(std::vector<double>& params, const std::vector<double>& grad) {
     double v_hat = v_[i] / bc2;
     params[i] -= lr_ * m_hat / (std::sqrt(v_hat) + epsilon_);
   }
-}
-
-void Adam::Reset() {
-  t_ = 0;
-  std::fill(m_.begin(), m_.end(), 0.0);
-  std::fill(v_.begin(), v_.end(), 0.0);
 }
 
 double ClipGradientNorm(std::vector<double>& grad, double max_norm) {

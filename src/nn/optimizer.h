@@ -5,22 +5,6 @@
 
 namespace tamp::nn {
 
-/// Plain gradient descent: theta <- theta - lr * grad. This is the update
-/// rule Algorithms 2-3 of the paper use for both the adapt (beta) and meta
-/// (alpha) steps.
-class Sgd {
- public:
-  explicit Sgd(double learning_rate);
-
-  double learning_rate() const { return lr_; }
-
-  /// Applies one step in place. Sizes must match.
-  void Step(std::vector<double>& params, const std::vector<double>& grad);
-
- private:
-  double lr_;
-};
-
 /// Adam optimizer used for per-worker fine-tuning after meta-initialization
 /// (faster convergence than SGD on the few-shot adaptation data).
 class Adam {
@@ -29,9 +13,6 @@ class Adam {
        double beta2 = 0.999, double epsilon = 1e-8);
 
   void Step(std::vector<double>& params, const std::vector<double>& grad);
-
-  /// Clears the moment estimates (e.g. when re-used for a new model).
-  void Reset();
 
  private:
   double lr_;

@@ -1,12 +1,12 @@
-// Bit-identity of the SoA training engine (nn::BatchedSeq2Seq::TrainTile
-// behind meta::BatchLossAndGradient) against its scalar oracle: the
-// per-sample EncoderDecoder::LossAndGradient loop that BatchLossAndGradient
-// ran before it was batched, kept here. Loss and gradient are compared bit
-// for bit at the tile edges, for teacher forcing (seq_out 3), both input
-// widths, two hidden sizes, with and without Eq. 7 step weights, across an
-// input-length change and on a scratch that shrinks and then grows; the
-// training loops built on it (AdaptKSteps, FineTune, MetaTrainClusters)
-// are compared against oracle loops and across thread counts.
+// Bit-identity of the SoA training engine (nn::EncoderDecoder::TrainTile
+// behind meta::BatchLossAndGradient) against its scalar oracle, a
+// per-sample loop over nn_oracle.h's LossAndGradient. Loss and gradient
+// are compared bit for bit at the tile edges, for teacher forcing
+// (seq_out 3), both input widths, two hidden sizes, with and without Eq. 7
+// step weights, across an input-length change and on a scratch that
+// shrinks and then grows; the training loops built on it (AdaptKSteps,
+// FineTune, MetaTrainClusters) are compared against oracle loops and
+// across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,14 +20,14 @@
 #include "common/rng.h"
 #include "meta/learning_task.h"
 #include "meta/meta_training.h"
-#include "nn/batched_seq2seq.h"
 #include "nn/encoder_decoder.h"
 #include "nn/optimizer.h"
+#include "nn_oracle.h"
 
 namespace tamp::meta {
 namespace {
 
-constexpr size_t kTile = nn::BatchedSeq2Seq::kTrainTileCols;
+constexpr size_t kTile = nn::EncoderDecoder::kTrainTileCols;
 
 /// Restores the parallel thread count on scope exit.
 class ThreadCountGuard {
@@ -54,10 +54,9 @@ double OracleLossAndGradient(const nn::EncoderDecoder& model,
   const double inv = 1.0 / static_cast<double>(samples.size());
   for (size_t s = 0; s < samples.size(); ++s) {
     std::fill(sample_grad.begin(), sample_grad.end(), 0.0);
-    loss_sum += model.LossAndGradient(params, samples[s].input,
-                                      samples[s].target,
-                                      weights.empty() ? kUniform : weights[s],
-                                      sample_grad);
+    loss_sum += nn::oracle::LossAndGradient(
+        model, params, samples[s].input, samples[s].target,
+        weights.empty() ? kUniform : weights[s], sample_grad);
     for (size_t i = 0; i < grad.size(); ++i) grad[i] += sample_grad[i] * inv;
   }
   return loss_sum / static_cast<double>(samples.size());
@@ -216,7 +215,6 @@ TEST(BatchedGradientTest, ScratchShrinkThenGrowParity) {
     config.hidden_dim = shape.hidden;
     config.seq_out = shape.seq_out;
     nn::EncoderDecoder model(config);
-    nn::BatchedSeq2Seq engine(config);
     const std::vector<double> params = model.InitParams(rng);
     const std::vector<TrainingSample> samples =
         MakeSamples(rng, shape.width, shape.seq_in, 3, shape.seq_out);
@@ -230,11 +228,11 @@ TEST(BatchedGradientTest, ScratchShrinkThenGrowParity) {
 
     double shared_loss = 0.0;
     std::vector<double> shared_grad(params.size(), 0.0);
-    engine.TrainTile(params, tile, inv, shared_loss, shared_grad, shared);
+    model.TrainTile(params, tile, inv, shared_loss, shared_grad, shared);
     nn::TrainScratch fresh;
     double fresh_loss = 0.0;
     std::vector<double> fresh_grad(params.size(), 0.0);
-    engine.TrainTile(params, tile, inv, fresh_loss, fresh_grad, fresh);
+    model.TrainTile(params, tile, inv, fresh_loss, fresh_grad, fresh);
     std::vector<double> oracle_grad(params.size(), 0.0);
     const double oracle_mean =
         OracleLossAndGradient(model, params, samples, weights, oracle_grad);

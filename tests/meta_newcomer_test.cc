@@ -40,15 +40,24 @@ LearningTask MakeTask(int id, bool group_a, int n_train, tamp::Rng& rng) {
   return task;
 }
 
+/// RMSE (normalized units) of one PredictBatch over the task's eval
+/// windows.
 double EvalRmse(const nn::EncoderDecoder& model,
                 const std::vector<double>& params, const LearningTask& task) {
+  std::vector<const std::vector<double>*> row_params(task.eval.size(),
+                                                     &params);
+  std::vector<const nn::Sequence*> inputs;
+  for (const auto& sample : task.eval) inputs.push_back(&sample.input);
+  nn::RolloutScratch scratch;
+  std::vector<nn::Sequence> preds;
+  model.PredictBatch(row_params, inputs, &preds, scratch);
   double se = 0.0;
   int n = 0;
-  for (const auto& sample : task.eval) {
-    nn::Sequence pred = model.Predict(params, sample.input);
+  for (size_t i = 0; i < task.eval.size(); ++i) {
+    const nn::Sequence& pred = preds[i];
     for (size_t t = 0; t < pred.size(); ++t) {
       for (size_t d = 0; d < pred[t].size(); ++d) {
-        double diff = pred[t][d] - sample.target[t][d];
+        double diff = pred[t][d] - task.eval[i].target[t][d];
         se += diff * diff;
         ++n;
       }

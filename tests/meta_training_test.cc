@@ -53,10 +53,13 @@ double AvgQueryLoss(const nn::EncoderDecoder& model,
   for (const auto& task : tasks) {
     std::vector<double> adapted = AdaptKSteps(
         model, theta, task.support, config.adapt_steps, config.beta, config);
-    for (const auto& sample : task.query) {
-      total += model.EvalLoss(adapted, sample.input, sample.target, {});
-      ++count;
-    }
+    // The query samples' mean loss (uniform weights) at the adapted
+    // parameters, counted once per sample.
+    std::vector<double> unused(adapted.size(), 0.0);
+    total += BatchLossAndGradient(model, adapted, task.query,
+                                  MetaTrainConfig(), unused) *
+             static_cast<double>(task.query.size());
+    count += static_cast<int>(task.query.size());
   }
   return total / count;
 }

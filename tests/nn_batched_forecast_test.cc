@@ -1,12 +1,13 @@
-// Bit-identity contract of the batched SoA forecast engine
-// (nn::BatchedSeq2Seq), the simulator's and the trainer's only forecast
-// path, against its scalar oracle (EncoderDecoder::Predict and the
-// per-worker core::RolloutPredict): raw PredictBatch vs Predict, the fleet
-// rollout the simulator runs (also at tile- and pass-boundary shapes),
-// scratch shrink-then-grow reuse, the trainer's Evaluate, and the
-// thread-invariant work counters. Every comparison is EXPECT_EQ on
-// doubles — exact, not approximate.
-#include "nn/batched_seq2seq.h"
+// Bit-identity contract of the batched SoA forecast (nn::EncoderDecoder's
+// Rollout and PredictBatch), the simulator's and the trainer's only
+// forecast path, against the scalar oracle (nn_oracle.h: one window, one
+// step at a time): raw PredictBatch vs the oracle's Predict, the fleet
+// rollout the simulator runs (core::RolloutPredict, also at tile- and
+// pass-boundary shapes) vs the oracle's one-worker rollout, scratch
+// shrink-then-grow reuse, the trainer's Evaluate, and the thread-invariant
+// work counters. Every comparison is EXPECT_EQ on doubles — exact, not
+// approximate.
+#include "nn/encoder_decoder.h"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,7 @@
 #include "common/rng.h"
 #include "core/rollout.h"
 #include "meta/trainer.h"
-#include "nn/encoder_decoder.h"
+#include "nn_oracle.h"
 
 namespace tamp::nn {
 namespace {
@@ -57,7 +58,7 @@ void ExpectSequenceEq(const Sequence& a, const Sequence& b) {
 /// Rows interleave three parameter groups (A B C A B A A C C B): tiles of
 /// several widths coexist in one plan, and the gather/scatter has to
 /// restore the caller's row order.
-TEST(BatchedSeq2SeqTest, PredictBatchMatchesScalarBitwise) {
+TEST(ForecastParityTest, PredictBatchMatchesScalarBitwise) {
   for (int seq_out : {1, 3}) {
     for (int threads : {1, 4}) {
       ThreadCountGuard guard(threads);
@@ -67,7 +68,6 @@ TEST(BatchedSeq2SeqTest, PredictBatchMatchesScalarBitwise) {
       config.seq_out = seq_out;
       tamp::Rng rng(11);
       EncoderDecoder model(config);
-      BatchedSeq2Seq engine(config);
       std::vector<std::vector<double>> groups = {
           model.InitParams(rng), model.InitParams(rng), model.InitParams(rng)};
       const int pattern[] = {0, 1, 2, 0, 1, 0, 0, 2, 2, 1};
@@ -81,20 +81,20 @@ TEST(BatchedSeq2SeqTest, PredictBatchMatchesScalarBitwise) {
       }
       for (const Sequence& w : windows) inputs.push_back(&w);
 
-      BatchedSeq2SeqScratch scratch;
+      RolloutScratch scratch;
       std::vector<Sequence> batched;
-      engine.PredictBatch(row_params, inputs, &batched, scratch);
+      model.PredictBatch(row_params, inputs, &batched, scratch);
 
       ASSERT_EQ(batched.size(), windows.size());
       for (size_t r = 0; r < windows.size(); ++r) {
-        Sequence scalar = model.Predict(*row_params[r], windows[r]);
+        Sequence scalar = oracle::Predict(model, *row_params[r], windows[r]);
         ExpectSequenceEq(batched[r], scalar);
       }
     }
   }
 }
 
-TEST(BatchedSeq2SeqTest, FleetRolloutMatchesScalarOnBothGrids) {
+TEST(ForecastParityTest, FleetRolloutMatchesScalarOnBothGrids) {
   const geo::GridSpec grids[] = {geo::GridSpec(28.0, 14.0, 50, 100),
                                  geo::GridSpec(36.0, 36.0, 60, 60)};
   for (const geo::GridSpec& grid : grids) {
@@ -106,7 +106,6 @@ TEST(BatchedSeq2SeqTest, FleetRolloutMatchesScalarOnBothGrids) {
       config.seq_out = 3;  // horizon 7 => 3 + 3 + 1 truncated chunks.
       tamp::Rng rng(23);
       EncoderDecoder model(config);
-      BatchedSeq2Seq engine(config);
 
       std::vector<std::vector<double>> params;
       std::vector<double> shared = model.InitParams(rng);
@@ -127,14 +126,15 @@ TEST(BatchedSeq2SeqTest, FleetRolloutMatchesScalarOnBothGrids) {
 
       core::FleetForecastScratch scratch;
       std::vector<std::vector<geo::TimedPoint>> batched;
-      core::RolloutPredictBatch(engine, row_params, recents, grid,
-                                /*horizon_steps=*/7, /*now_min=*/600.0,
-                                /*step_period_min=*/10.0, scratch, &batched);
+      core::RolloutPredict(model, row_params, recents, grid,
+                           /*horizon_steps=*/7, /*now_min=*/600.0,
+                           /*step_period_min=*/10.0, scratch, &batched);
 
       ASSERT_EQ(batched.size(), recents.size());
       for (size_t w = 0; w < recents.size(); ++w) {
-        auto scalar = core::RolloutPredict(model, *row_params[w], recents[w],
-                                           grid, 7, 600.0, 10.0);
+        auto scalar = oracle::RolloutPredict(model, *row_params[w],
+                                             recents[w], grid, 7, 600.0,
+                                             10.0);
         ASSERT_EQ(batched[w].size(), scalar.size());
         for (size_t i = 0; i < scalar.size(); ++i) {
           EXPECT_EQ(batched[w][i].loc.x, scalar[i].loc.x);
@@ -149,14 +149,13 @@ TEST(BatchedSeq2SeqTest, FleetRolloutMatchesScalarOnBothGrids) {
 /// Scratch reuse must be stateless: a big batch, then a small one, then
 /// big again — each must match a fresh-scratch run bit for bit (stale
 /// tails from the larger plan must never leak into the smaller).
-TEST(BatchedSeq2SeqTest, EngineScratchShrinkThenGrowParity) {
+TEST(ForecastParityTest, EngineScratchShrinkThenGrowParity) {
   Seq2SeqConfig config;
   config.input_dim = 2;
   config.hidden_dim = 7;
   config.seq_out = 2;
   tamp::Rng rng(31);
   EncoderDecoder model(config);
-  BatchedSeq2Seq engine(config);
 
   std::vector<std::vector<double>> params;
   std::vector<Sequence> windows;
@@ -165,7 +164,7 @@ TEST(BatchedSeq2SeqTest, EngineScratchShrinkThenGrowParity) {
     windows.push_back(MakeWindow(rng, 6, 2));
   }
 
-  auto run = [&](size_t rows, BatchedSeq2SeqScratch& scratch) {
+  auto run = [&](size_t rows, RolloutScratch& scratch) {
     std::vector<const std::vector<double>*> row_params;
     std::vector<const Sequence*> inputs;
     for (size_t r = 0; r < rows; ++r) {
@@ -173,14 +172,14 @@ TEST(BatchedSeq2SeqTest, EngineScratchShrinkThenGrowParity) {
       inputs.push_back(&windows[r]);
     }
     std::vector<Sequence> out;
-    engine.PredictBatch(row_params, inputs, &out, scratch);
+    model.PredictBatch(row_params, inputs, &out, scratch);
     return out;
   };
 
-  BatchedSeq2SeqScratch reused;
+  RolloutScratch reused;
   for (size_t rows : {8u, 2u, 8u}) {
     std::vector<Sequence> with_reuse = run(rows, reused);
-    BatchedSeq2SeqScratch fresh;
+    RolloutScratch fresh;
     std::vector<Sequence> from_fresh = run(rows, fresh);
     ASSERT_EQ(with_reuse.size(), rows);
     for (size_t r = 0; r < rows; ++r) {
@@ -189,28 +188,7 @@ TEST(BatchedSeq2SeqTest, EngineScratchShrinkThenGrowParity) {
   }
 }
 
-/// The scalar path's PredictScratch has the same contract: long window,
-/// short window, long again, all bitwise equal to scratch-free calls.
-TEST(BatchedSeq2SeqTest, PredictScratchShrinkThenGrowParity) {
-  Seq2SeqConfig config;
-  config.hidden_dim = 9;
-  config.seq_out = 2;
-  tamp::Rng rng(37);
-  EncoderDecoder model(config);
-  std::vector<double> params = model.InitParams(rng);
-
-  PredictScratch scratch;
-  for (int steps : {8, 2, 8}) {
-    Sequence window = MakeWindow(rng, steps, 2);
-    Sequence with_scratch = model.Predict(params, window, &scratch);
-    Sequence without = model.Predict(params, window);
-    ExpectSequenceEq(with_scratch, without);
-    EXPECT_EQ(model.EvalLoss(params, window, without, {}, &scratch),
-              model.EvalLoss(params, window, without, {}));
-  }
-}
-
-TEST(BatchedSeq2SeqTest, TrainerEvaluateMatchesScalarOracle) {
+TEST(ForecastParityTest, TrainerEvaluateMatchesScalarOracle) {
   meta::TrainerConfig config;
   config.model.hidden_dim = 6;
   tamp::Rng rng(43);
@@ -244,7 +222,7 @@ TEST(BatchedSeq2SeqTest, TrainerEvaluateMatchesScalarOracle) {
   for (size_t w = 0; w < tasks.size(); ++w) {
     for (const meta::TrainingSample& sample : tasks[w].eval) {
       const Sequence pred =
-          model.Predict(models.worker_params[w], sample.input);
+          oracle::Predict(model, models.worker_params[w], sample.input);
       for (size_t t = 0; t < pred.size(); ++t) {
         distances[w].push_back(geo::Distance(
             grid.Denormalize({pred[t][0], pred[t][1]}),
@@ -299,13 +277,13 @@ TEST(BatchedSeq2SeqTest, TrainerEvaluateMatchesScalarOracle) {
   }
 }
 
-/// The in-tile rollout against the per-worker scalar RolloutPredict at the
+/// The in-tile rollout against the oracle's one-worker rollout at the
 /// shapes that can break it: singleton rows interleaved in caller order
 /// with a shared group of more than kTileCols rows (one group, two
 /// chunks), a last pass that produces only part of its seq_out steps
 /// (seq_out 3, horizon 4), with and without the time-of-day input, at 1
 /// to 8 threads.
-TEST(BatchedSeq2SeqTest, RolloutMatchesScalarAtTileAndPassEdges) {
+TEST(ForecastParityTest, RolloutMatchesScalarAtTileAndPassEdges) {
   const geo::GridSpec grid(28.0, 14.0, 50, 100);
   constexpr int kHorizon = 4;
   for (int input_dim : {2, 3}) {
@@ -316,7 +294,6 @@ TEST(BatchedSeq2SeqTest, RolloutMatchesScalarAtTileAndPassEdges) {
       config.seq_out = seq_out;
       tamp::Rng rng(static_cast<uint64_t>(53 + 10 * input_dim + seq_out));
       EncoderDecoder model(config);
-      BatchedSeq2Seq engine(config);
 
       const std::vector<double> shared = model.InitParams(rng);
       std::vector<std::vector<double>> own;
@@ -338,7 +315,7 @@ TEST(BatchedSeq2SeqTest, RolloutMatchesScalarAtTileAndPassEdges) {
         }
         recents.push_back(std::move(walk));
       }
-      ASSERT_GT(shared_rows, static_cast<int>(BatchedSeq2Seq::kTileCols));
+      ASSERT_GT(shared_rows, static_cast<int>(EncoderDecoder::kTileCols));
       size_t next_own = 0;
       for (int r = 0; r < 80; ++r) {
         row_params.push_back(r % 8 == 3 ? &own[next_own++] : &shared);
@@ -346,17 +323,17 @@ TEST(BatchedSeq2SeqTest, RolloutMatchesScalarAtTileAndPassEdges) {
 
       std::vector<std::vector<geo::TimedPoint>> scalar;
       for (size_t r = 0; r < recents.size(); ++r) {
-        scalar.push_back(core::RolloutPredict(model, *row_params[r],
-                                              recents[r], grid, kHorizon,
-                                              /*now_min=*/1430.0,
-                                              /*step_period_min=*/10.0));
+        scalar.push_back(oracle::RolloutPredict(model, *row_params[r],
+                                                recents[r], grid, kHorizon,
+                                                /*now_min=*/1430.0,
+                                                /*step_period_min=*/10.0));
       }
       for (int threads : {1, 2, 4, 8}) {
         ThreadCountGuard guard(threads);
         core::FleetForecastScratch scratch;
         std::vector<std::vector<geo::TimedPoint>> batched;
-        core::RolloutPredictBatch(engine, row_params, recents, grid,
-                                  kHorizon, 1430.0, 10.0, scratch, &batched);
+        core::RolloutPredict(model, row_params, recents, grid, kHorizon,
+                             1430.0, 10.0, scratch, &batched);
         ASSERT_EQ(batched.size(), scalar.size());
         for (size_t r = 0; r < scalar.size(); ++r) {
           ASSERT_EQ(batched[r].size(), static_cast<size_t>(kHorizon));
@@ -375,18 +352,17 @@ TEST(BatchedSeq2SeqTest, RolloutMatchesScalarAtTileAndPassEdges) {
 }
 
 /// The work counters are part of the bench gate, so they must not depend
-/// on the thread count, and the cell count must equal the scalar path's
-/// LstmCell::Forward call count. A distinct-params fleet runs one
+/// on the thread count, and the cell count must equal the scalar chain's
+/// LSTM step count. A distinct-params fleet runs one
 /// 1-column tile per row; a shared-params fleet of 70 rows runs
 /// ceil(70/64) = 2 tiles, strictly fewer kernel launches than cells.
-TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
+TEST(ForecastParityTest, WorkCountersAreExactAndThreadInvariant) {
   Seq2SeqConfig config;
   config.input_dim = 3;
   config.hidden_dim = 8;
   config.seq_out = 2;
   tamp::Rng rng(47);
   EncoderDecoder model(config);
-  BatchedSeq2Seq engine(config);
 
   std::vector<std::vector<double>> params;
   std::vector<Sequence> windows;
@@ -409,8 +385,8 @@ TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
   obs::Counter& gemm = registry.GetCounter("nn.batched_gemm_calls");
   obs::Counter& batch_rows = registry.GetCounter("nn.batch_rows");
 
-  // Scalar reference: one LstmCell::Forward per row per (seq_in + seq_out)
-  // step; kernels: one gate launch per tile per cell step plus one readout
+  // Scalar reference: one LSTM step per row per (seq_in + seq_out) step;
+  // kernels: one gate launch per tile per cell step plus one readout
   // launch per tile per decoder step.
   const int64_t expected_cells = static_cast<int64_t>(rows) * (5 + 2);
   struct Fleet {
@@ -422,12 +398,12 @@ TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
   for (const Fleet& fleet : fleets) {
     for (int threads : {1, 2, 4, 8}) {
       ThreadCountGuard guard(threads);
-      BatchedSeq2SeqScratch scratch;
+      RolloutScratch scratch;
       std::vector<Sequence> out;
       const int64_t c0 = cells.value();
       const int64_t g0 = gemm.value();
       const int64_t r0 = batch_rows.value();
-      engine.PredictBatch(*fleet.row_params, inputs, &out, scratch);
+      model.PredictBatch(*fleet.row_params, inputs, &out, scratch);
       EXPECT_EQ(cells.value() - c0, expected_cells) << threads;
       EXPECT_EQ(gemm.value() - g0, fleet.tiles * (7 + 2)) << threads;
       EXPECT_EQ(batch_rows.value() - r0, rows) << threads;

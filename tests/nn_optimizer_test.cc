@@ -15,41 +15,12 @@ std::vector<double> QuadGrad(const std::vector<double>& x,
   return g;
 }
 
-TEST(SgdTest, SingleStepMovesAgainstGradient) {
-  Sgd opt(0.1);
-  std::vector<double> params = {1.0, -2.0};
-  std::vector<double> grad = {0.5, -1.0};
-  opt.Step(params, grad);
-  EXPECT_DOUBLE_EQ(params[0], 0.95);
-  EXPECT_DOUBLE_EQ(params[1], -1.9);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Sgd opt(0.1);
-  std::vector<double> x = {5.0, -3.0, 0.0};
-  std::vector<double> target = {1.0, 2.0, -4.0};
-  for (int i = 0; i < 200; ++i) opt.Step(x, QuadGrad(x, target));
-  for (size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], target[i], 1e-6);
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   std::vector<double> x = {5.0, -3.0};
   std::vector<double> target = {1.0, 2.0};
   Adam opt(x.size(), 0.1);
   for (int i = 0; i < 500; ++i) opt.Step(x, QuadGrad(x, target));
   for (size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], target[i], 1e-3);
-}
-
-TEST(AdamTest, ResetClearsState) {
-  std::vector<double> x = {1.0};
-  Adam opt(1, 0.1);
-  std::vector<double> g = {1.0};
-  opt.Step(x, g);
-  double after_first = x[0];
-  opt.Reset();
-  std::vector<double> y = {1.0};
-  opt.Step(y, g);
-  EXPECT_DOUBLE_EQ(y[0], after_first);
 }
 
 TEST(AdamTest, FirstStepSizeIsLearningRate) {

@@ -1,12 +1,17 @@
 // Parameterized property sweeps over the neural substrate: gradient
-// correctness and shape invariants must hold for every architecture the
+// correctness and shape invariants of the production engine
+// (nn::EncoderDecoder's PredictBatch and the training pass behind
+// meta::BatchLossAndGradient) must hold for every architecture the
 // experiments instantiate (hidden sizes, input dims, seq_out).
+#include <algorithm>
 #include <cmath>
-#include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "meta/learning_task.h"
+#include "meta/meta_training.h"
 #include "nn/encoder_decoder.h"
 
 namespace tamp::nn {
@@ -30,26 +35,51 @@ Sequence RandomSequence(int steps, int dim, tamp::Rng& rng) {
   return seq;
 }
 
-TEST_P(ArchSweep, GradientMatchesFiniteDifferences) {
-  const Arch arch = GetParam();
+EncoderDecoder ModelFor(const Arch& arch) {
   Seq2SeqConfig config;
   config.input_dim = arch.input_dim;
   config.hidden_dim = arch.hidden_dim;
   config.seq_out = arch.seq_out;
-  EncoderDecoder model(config);
+  return EncoderDecoder(config);
+}
+
+/// `count` random (input, target) samples of the architecture's shape.
+std::vector<meta::TrainingSample> RandomSamples(const Arch& arch, int count,
+                                                tamp::Rng& rng) {
+  std::vector<meta::TrainingSample> samples(count);
+  for (meta::TrainingSample& sample : samples) {
+    sample.input = RandomSequence(arch.seq_in, arch.input_dim, rng);
+    sample.target = RandomSequence(arch.seq_out, 2, rng);
+  }
+  return samples;
+}
+
+/// One window's prediction through a one-row PredictBatch.
+Sequence PredictOne(const EncoderDecoder& model,
+                    const std::vector<double>& params, const Sequence& input) {
+  RolloutScratch scratch;
+  std::vector<Sequence> out;
+  model.PredictBatch({&params}, {&input}, &out, scratch);
+  return out[0];
+}
+
+TEST_P(ArchSweep, GradientMatchesFiniteDifferences) {
+  const Arch arch = GetParam();
+  EncoderDecoder model = ModelFor(arch);
   tamp::Rng rng(31 + arch.hidden_dim);
   std::vector<double> params = model.InitParams(rng);
-  Sequence input = RandomSequence(arch.seq_in, arch.input_dim, rng);
-  Sequence target = RandomSequence(arch.seq_out, config.output_dim, rng);
+  const std::vector<meta::TrainingSample> samples =
+      RandomSamples(arch, 3, rng);
+  const meta::MetaTrainConfig plain;
 
   std::vector<double> grad(params.size(), 0.0);
-  model.LossAndGradient(params, input, target, {}, grad);
+  meta::BatchLossAndGradient(model, params, samples, plain, grad);
 
   // Spot-check a deterministic subset of coordinates against central
   // differences (full sweeps run in nn_gradient_check_test).
-  auto loss_at = [&](std::vector<double> p) {
-    std::vector<double> scratch(p.size(), 0.0);
-    return model.LossAndGradient(p, input, target, {}, scratch);
+  auto loss_at = [&](const std::vector<double>& p) {
+    std::vector<double> unused(p.size(), 0.0);
+    return meta::BatchLossAndGradient(model, p, samples, plain, unused);
   };
   const double h = 1e-6;
   for (size_t i = 0; i < params.size(); i += params.size() / 17 + 1) {
@@ -65,37 +95,40 @@ TEST_P(ArchSweep, GradientMatchesFiniteDifferences) {
 
 TEST_P(ArchSweep, PredictShapesAreConsistent) {
   const Arch arch = GetParam();
-  Seq2SeqConfig config;
-  config.input_dim = arch.input_dim;
-  config.hidden_dim = arch.hidden_dim;
-  config.seq_out = arch.seq_out;
-  EncoderDecoder model(config);
+  EncoderDecoder model = ModelFor(arch);
   tamp::Rng rng(7);
   std::vector<double> params = model.InitParams(rng);
   Sequence input = RandomSequence(arch.seq_in, arch.input_dim, rng);
-  Sequence pred = model.Predict(params, input);
+  Sequence pred = PredictOne(model, params, input);
   ASSERT_EQ(static_cast<int>(pred.size()), arch.seq_out);
   for (const auto& step : pred) {
-    ASSERT_EQ(static_cast<int>(step.size()), config.output_dim);
+    ASSERT_EQ(static_cast<int>(step.size()), model.config().output_dim);
     for (double v : step) EXPECT_TRUE(std::isfinite(v));
   }
 }
 
+/// The loss is non-negative, and zero with a zero gradient when the
+/// target is the model's own prediction: teacher forcing then feeds the
+/// decoder the inputs it fed itself, so the training forward reproduces
+/// the prediction exactly.
 TEST_P(ArchSweep, LossIsNonNegativeAndZeroAtTarget) {
   const Arch arch = GetParam();
-  Seq2SeqConfig config;
-  config.input_dim = arch.input_dim;
-  config.hidden_dim = arch.hidden_dim;
-  config.seq_out = arch.seq_out;
-  EncoderDecoder model(config);
+  EncoderDecoder model = ModelFor(arch);
   tamp::Rng rng(11);
   std::vector<double> params = model.InitParams(rng);
-  Sequence input = RandomSequence(arch.seq_in, arch.input_dim, rng);
-  Sequence target = RandomSequence(arch.seq_out, config.output_dim, rng);
+  std::vector<meta::TrainingSample> samples = RandomSamples(arch, 2, rng);
+  const meta::MetaTrainConfig plain;
   std::vector<double> grad(params.size(), 0.0);
-  EXPECT_GE(model.LossAndGradient(params, input, target, {}, grad), 0.0);
-  Sequence oracle = model.Predict(params, input);
-  EXPECT_NEAR(model.EvalLoss(params, input, oracle, {}), 0.0, 1e-18);
+  EXPECT_GE(meta::BatchLossAndGradient(model, params, samples, plain, grad),
+            0.0);
+
+  for (meta::TrainingSample& sample : samples) {
+    sample.target = PredictOne(model, params, sample.input);
+  }
+  std::fill(grad.begin(), grad.end(), 0.0);
+  EXPECT_EQ(meta::BatchLossAndGradient(model, params, samples, plain, grad),
+            0.0);
+  for (double g : grad) EXPECT_EQ(g, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
